@@ -38,7 +38,7 @@ int main() {
   bench::ForEachBrowserCrawl(
       framework, sites, {}, [&](const core::CrawlResult& result) {
         auto score =
-            splitter.Evaluate(*result.engine_flows, *result.native_flows);
+            splitter.Evaluate(*result.engine_index, *result.native_index);
         total_hidden += score.native_as_engine;
         table.AddRow({result.browser, std::to_string(score.total),
                       analysis::Percent(score.accuracy),

@@ -53,16 +53,16 @@ VantageRun RunFrom(bool us_vantage) {
   for (const char* name : {"Yandex", "QQ", "UC International"}) {
     auto result =
         core::RunCrawl(framework, *browser::FindSpec(name), sites);
-    for (const auto* store :
-         {result.native_flows.get(), result.engine_flows.get()}) {
-      bool engine = store == result.engine_flows.get();
-      for (const auto& leak : detector.Scan(*store, engine)) {
+    for (bool engine : {false, true}) {
+      const auto& store = engine ? *result.engine_flows : *result.native_flows;
+      const auto& index = engine ? *result.engine_index : *result.native_index;
+      for (const auto& leak : detector.Scan(store, index, engine)) {
         if (leak.granularity != analysis::LeakGranularity::kFullUrl) {
           continue;
         }
         ++run.full_url_leaks;
         auto transfers = analysis::ClassifyTransfers(
-            *store, {leak.destination_host}, geo);
+            index, {leak.destination_host}, geo);
         if (transfers.empty()) continue;
         run.destinations.push_back(leak.destination_host + " (" +
                                    transfers.front().country_code + ")");

@@ -7,6 +7,7 @@
 // learns key/value *shapes* from a labeled corpus and is then scored
 // on (a) a held-out corpus from a different device and (b) real crawl
 // traffic labeled by the deterministic scanner.
+#include "analysis/flow_index.h"
 #include "analysis/pii.h"
 #include "analysis/recon.h"
 #include "analysis/report.h"
@@ -59,10 +60,15 @@ int main() {
 
     analysis::ReconEvaluation eval;
     uint64_t pii_flows = 0;
-    for (const auto& flow : result.native_flows->flows()) {
-      analysis::PiiReport report;
-      scanner.ScanFlow(flow, report);
-      bool truth = report.LeakCount() > 0;
+    const proxy::FlowStore& native = *result.native_flows;
+    for (size_t i = 0; i < native.size(); ++i) {
+      const proxy::FlowView& flow = native.flow(i);
+      // Label each flow on its own: a one-flow index, so evidence
+      // deduplication across flows cannot hide a repeat leak.
+      analysis::FlowIndex one_flow;
+      analysis::FlowIndex::Cursor cursor;
+      one_flow.AddFlow(native, i, cursor);
+      bool truth = scanner.Scan(one_flow).LeakCount() > 0;
       if (truth) ++pii_flows;
       bool predicted =
           classifier.Predict(analysis::ReconClassifier::Tokenize(flow));

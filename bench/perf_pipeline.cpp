@@ -4,6 +4,7 @@
 // observes, or the instrument would distort the measurement.
 #include <benchmark/benchmark.h>
 
+#include "analysis/flow_index.h"
 #include "analysis/hostslist.h"
 #include "analysis/pii.h"
 #include "bench_common.h"
@@ -60,16 +61,23 @@ void BM_HostsListLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_HostsListLookup);
 
-void BM_PiiScanFlow(benchmark::State& state) {
-  analysis::PiiScanner scanner(device::DeviceProfile::PaperTestbed());
+// Index over one PII-carrying tracking flow.
+analysis::FlowIndex PiiFlowIndex() {
   proxy::Flow flow;
   flow.url = net::Url::MustParse(
       "https://api.browser.yandex.ru/track?uuid=3f2b9a64-5e1c-4d7a-9b0e-"
       "2f6c8d1a7e43&host=example.com&devtype=TABLET&manuf=Samsung&res="
       "1200x1920&dpi=240&locale=el-GR&net=WIFI");
+  proxy::FlowStore store;
+  store.Add(std::move(flow));
+  return analysis::FlowIndex::Build(store);
+}
+
+void BM_PiiScanFlow(benchmark::State& state) {
+  analysis::PiiScanner scanner(device::DeviceProfile::PaperTestbed());
+  const analysis::FlowIndex index = PiiFlowIndex();
   for (auto _ : state) {
-    analysis::PiiReport report;
-    scanner.ScanFlow(flow, report);
+    analysis::PiiReport report = scanner.Scan(index);
     benchmark::DoNotOptimize(report);
   }
 }
@@ -153,11 +161,7 @@ int main(int argc, char** argv) {
       "https://fastlane.rubiconproject.com/a/api/fastlane.json?account_id="
       "12345&site_id=67890&zone_id=13579&size_id=15&p_pos=atf&rand=0.837";
   analysis::PiiScanner scanner(device::DeviceProfile::PaperTestbed());
-  proxy::Flow pii_flow;
-  pii_flow.url = net::Url::MustParse(
-      "https://api.browser.yandex.ru/track?uuid=3f2b9a64-5e1c-4d7a-9b0e-"
-      "2f6c8d1a7e43&host=example.com&devtype=TABLET&manuf=Samsung&res="
-      "1200x1920&dpi=240&locale=el-GR&net=WIFI");
+  const analysis::FlowIndex pii_index = PiiFlowIndex();
 
   bench::InterleavedTimer timer;
   timer.Add("url_parse_10k", [&] {
@@ -168,8 +172,7 @@ int main(int argc, char** argv) {
   });
   timer.Add("pii_scan_10k", [&] {
     for (int i = 0; i < 10000; ++i) {
-      analysis::PiiReport report;
-      scanner.ScanFlow(pii_flow, report);
+      analysis::PiiReport report = scanner.Scan(pii_index);
       benchmark::DoNotOptimize(report);
     }
   });

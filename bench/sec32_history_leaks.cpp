@@ -41,8 +41,10 @@ int main() {
   int full_url_leakers = 0;
   bench::ForEachBrowserCrawl(
       framework, sites, {}, [&](const core::CrawlResult& result) {
-        auto native = detector.Scan(*result.native_flows);
-        auto engine = detector.Scan(*result.engine_flows, true);
+        auto native =
+            detector.Scan(*result.native_flows, *result.native_index);
+        auto engine =
+            detector.Scan(*result.engine_flows, *result.engine_index, true);
         bool full = false;
         for (const auto* findings : {&native, &engine}) {
           for (const auto& leak : *findings) {

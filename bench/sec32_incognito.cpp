@@ -43,8 +43,10 @@ int main() {
     auto incog_result = core::RunCrawl(framework, *spec, sites, incognito);
 
     auto count_leaks = [&](const core::CrawlResult& result) {
-      size_t n = detector.Scan(*result.native_flows).size() +
-                 detector.Scan(*result.engine_flows, true).size();
+      size_t n =
+          detector.Scan(*result.native_flows, *result.native_index).size() +
+          detector.Scan(*result.engine_flows, *result.engine_index, true)
+              .size();
       return n;
     };
     size_t normal_leaks = count_leaks(normal_result);

@@ -39,10 +39,12 @@ int main() {
       }
       analysis::HistoryLeakDetector detector(visited);
       uint64_t full_reports = 0;
-      for (const auto* store :
-           {result.native_flows.get(), result.engine_flows.get()}) {
-        for (const auto& leak :
-             detector.Scan(*store, store == result.engine_flows.get())) {
+      for (bool engine : {false, true}) {
+        const auto& store =
+            engine ? *result.engine_flows : *result.native_flows;
+        const auto& index =
+            engine ? *result.engine_index : *result.native_index;
+        for (const auto& leak : detector.Scan(store, index, engine)) {
           if (leak.granularity == analysis::LeakGranularity::kFullUrl) {
             full_reports += leak.report_count;
           }

@@ -37,15 +37,17 @@ int main() {
   bench::ForEachBrowserCrawl(
       framework, sites, {}, [&](const core::CrawlResult& result) {
         bool browser_flagged = false;
-        for (const auto* store :
-             {result.native_flows.get(), result.engine_flows.get()}) {
-          bool engine = store == result.engine_flows.get();
-          for (const auto& leak : detector.Scan(*store, engine)) {
+        for (bool engine : {false, true}) {
+          const auto& store =
+              engine ? *result.engine_flows : *result.native_flows;
+          const auto& index =
+              engine ? *result.engine_index : *result.native_index;
+          for (const auto& leak : detector.Scan(store, index, engine)) {
             if (leak.granularity != analysis::LeakGranularity::kFullUrl) {
               continue;  // §3.4 focuses on the full-history leakers
             }
             auto transfers = analysis::ClassifyTransfers(
-                *store, {leak.destination_host}, geo);
+                index, {leak.destination_host}, geo);
             for (const auto& transfer : transfers) {
               table.AddRow({result.browser, transfer.host,
                             transfer.country_name,
@@ -66,7 +68,7 @@ int main() {
   bench::ForEachBrowserCrawl(
       framework, sites, {}, [&](const core::CrawlResult& result) {
         auto countries =
-            analysis::CountriesContacted(*result.native_flows, geo);
+            analysis::CountriesContacted(*result.native_index, geo);
         std::string line = result.browser + ": ";
         for (size_t i = 0; i < countries.size(); ++i) {
           if (i != 0) line += ", ";

@@ -59,13 +59,13 @@ int main() {
         result, analysis::VendorDomainsFor(spec.name), hosts_list);
     if (domain_stats.ad_related_hosts > 0) ad_talkers.insert(spec.name);
 
-    auto pii = scanner.Scan(*result.native_flows);
+    auto pii = scanner.Scan(*result.native_index);
     if (pii.LeakCount() > 0) pii_leakers.insert(spec.name);
 
-    for (const auto* store :
-         {result.native_flows.get(), result.engine_flows.get()}) {
-      bool engine = store == result.engine_flows.get();
-      for (const auto& leak : detector.Scan(*store, engine)) {
+    for (bool engine : {false, true}) {
+      const auto& store = engine ? *result.engine_flows : *result.native_flows;
+      const auto& index = engine ? *result.engine_index : *result.native_index;
+      for (const auto& leak : detector.Scan(store, index, engine)) {
         if (leak.granularity != analysis::LeakGranularity::kFullUrl) {
           continue;
         }
@@ -74,7 +74,7 @@ int main() {
           persistent_id_leakers.insert(spec.name);
         }
         auto transfers =
-            analysis::ClassifyTransfers(*store, {leak.destination_host}, geo);
+            analysis::ClassifyTransfers(index, {leak.destination_host}, geo);
         if (!transfers.empty() && transfers.front().outside_eu) {
           outside_eu_leakers.insert(spec.name);
         }
@@ -82,7 +82,8 @@ int main() {
     }
     // Same mechanism checked for Yandex's *companion* host-only report:
     // the persistent identifier rides api.browser.yandex.ru.
-    for (const auto& leak : detector.Scan(*result.native_flows)) {
+    for (const auto& leak :
+         detector.Scan(*result.native_flows, *result.native_index)) {
       if (leak.persistent_identifier &&
           leak.destination_host != "cloudflare-dns.com" &&
           leak.destination_host != "dns.google") {
@@ -95,10 +96,10 @@ int main() {
   for (const char* name : {"Yandex", "QQ", "UC International"}) {
     auto result = core::RunCrawl(framework, *browser::FindSpec(name),
                                  sites, incognito);
-    for (const auto* store :
-         {result.native_flows.get(), result.engine_flows.get()}) {
-      bool engine = store == result.engine_flows.get();
-      for (const auto& leak : detector.Scan(*store, engine)) {
+    for (bool engine : {false, true}) {
+      const auto& store = engine ? *result.engine_flows : *result.native_flows;
+      const auto& index = engine ? *result.engine_index : *result.native_index;
+      for (const auto& leak : detector.Scan(store, index, engine)) {
         if (leak.granularity == analysis::LeakGranularity::kFullUrl) {
           incognito_leakers.insert(name);
         }

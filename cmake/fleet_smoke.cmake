@@ -3,7 +3,9 @@
 # Drives the real CLI end to end: a small fleet crawl that writes both
 # telemetry artifacts, then the CLI's own validator on the results. Runs
 # in every build flavor (including the sanitizer configs), so the whole
-# instrumented pipeline gets exercised under TSan/ASan too.
+# instrumented pipeline gets exercised under TSan/ASan too. The plain
+# run (no CHAOS, no POPULATION) also checks that the worker count never
+# changes a report byte.
 #
 # Expected variables:
 #   CLI     - path to the panoptes_cli executable
@@ -85,6 +87,31 @@ if(NOT validate_rc EQUAL 0)
   message(FATAL_ERROR
       "validate-telemetry failed (rc=${validate_rc})\n"
       "${validate_out}${validate_err}")
+endif()
+
+# Worker count must not change a byte: without --shards, --jobs 1 and
+# --jobs 4 run the same plan and emit identical JSON and CSV reports.
+if(NOT CHAOS AND NOT POPULATION)
+  foreach(jobs 1 4)
+    execute_process(
+      COMMAND "${CLI}" fleet --jobs ${jobs} --sites 6
+        --browsers Yandex,DuckDuckGo --idle
+        --json "${OUT_DIR}/jobs${jobs}.json" --csv "${OUT_DIR}/jobs${jobs}.csv"
+      RESULT_VARIABLE rc
+      OUTPUT_VARIABLE out
+      ERROR_VARIABLE err)
+    if(NOT rc EQUAL 0)
+      message(FATAL_ERROR
+          "fleet --jobs ${jobs} failed (rc=${rc})\n${out}${err}")
+    endif()
+  endforeach()
+  foreach(ext json csv)
+    file(READ "${OUT_DIR}/jobs1.${ext}" one)
+    file(READ "${OUT_DIR}/jobs4.${ext}" four)
+    if(NOT one STREQUAL four)
+      message(FATAL_ERROR "fleet --jobs 1 and --jobs 4 ${ext} reports differ")
+    endif()
+  endforeach()
 endif()
 
 message(STATUS "fleet telemetry smoke ok:\n${validate_out}")

@@ -21,7 +21,7 @@ file(MAKE_DIRECTORY "${OUT_DIR}")
 
 # Yandex exercises the native Base64 carrier on top of the engine-side
 # joins; high scenario fractions keep the run small but finding-rich.
-# --shards is pinned (it defaults to --jobs): the job decomposition —
+# --shards 2 puts the shard merge on the path; the job decomposition —
 # and with it every job seed and flow uid — must not change when only
 # the worker count does.
 set(common_args --sites 12 --shards 2 --browsers Yandex

@@ -48,10 +48,10 @@ int main(int argc, char** argv) {
     std::printf("native requests: %llu\n",
                 (unsigned long long)result.native_flows->size());
     size_t leak_destinations = 0;
-    for (const auto* store :
-         {result.native_flows.get(), result.engine_flows.get()}) {
-      bool engine = store == result.engine_flows.get();
-      for (const auto& leak : detector.Scan(*store, engine)) {
+    for (bool engine : {false, true}) {
+      const auto& store = engine ? *result.engine_flows : *result.native_flows;
+      const auto& index = engine ? *result.engine_index : *result.native_index;
+      for (const auto& leak : detector.Scan(store, index, engine)) {
         ++leak_destinations;
         std::printf("  leak -> %-26s [%s, %llu reports%s]\n",
                     leak.destination_host.c_str(),

@@ -434,7 +434,10 @@ int CmdFleet(const util::Args& args) {
     };
   }
 
-  int shards = static_cast<int>(args.IntOptionOr("shards", options.jobs));
+  // Shard count is part of the plan (one shard = one browser install
+  // crawling its slice of the catalog), so it never follows --jobs: the
+  // worker count must not change a report byte.
+  int shards = static_cast<int>(args.IntOptionOr("shards", 1));
   // Device-population campaign: --population N synthesizes N device
   // cohorts deterministically from --population-seed and crosses them
   // with the browser x kind x shard plan. No --population keeps the

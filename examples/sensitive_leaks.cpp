@@ -39,13 +39,13 @@ int main() {
     analysis::HistoryLeakDetector detector(visited);
 
     std::printf("=== %s ===\n", name);
-    for (const auto* store :
-         {result.native_flows.get(), result.engine_flows.get()}) {
-      bool engine = store == result.engine_flows.get();
-      for (const auto& leak : detector.Scan(*store, engine)) {
+    for (bool engine : {false, true}) {
+      const auto& store = engine ? *result.engine_flows : *result.native_flows;
+      const auto& index = engine ? *result.engine_index : *result.native_index;
+      for (const auto& leak : detector.Scan(store, index, engine)) {
         if (leak.granularity != analysis::LeakGranularity::kFullUrl) continue;
         auto transfers =
-            analysis::ClassifyTransfers(*store, {leak.destination_host}, geo);
+            analysis::ClassifyTransfers(index, {leak.destination_host}, geo);
         std::printf("%s (%s%s) received %llu full URLs%s:\n",
                     leak.destination_host.c_str(),
                     transfers.empty() ? "?"

@@ -24,30 +24,6 @@ bool IsDohProviderHost(std::string_view host) {
 }
 
 DnsLeakageReport AnalyzeDnsLeakage(
-    const proxy::FlowStore& native_flows,
-    const std::set<std::string>& visited_hosts) {
-  DnsLeakageReport report;
-  for (const auto& flow : native_flows.flows()) {
-    if (!IsDohProviderHost(flow.Host()) ||
-        flow.url.path() != "/dns-query") {
-      continue;
-    }
-
-    auto name = flow.url.QueryParam("name");
-    if (!name) continue;
-    report.uses_doh = true;
-    report.provider_host = flow.Host();
-    ++report.queries;
-    std::string lowered = util::ToLower(*name);
-    report.domains_leaked.insert(lowered);
-    if (visited_hosts.count(lowered) > 0) {
-      ++report.visited_site_lookups;
-    }
-  }
-  return report;
-}
-
-DnsLeakageReport AnalyzeDnsLeakage(
     const FlowIndex& native_index,
     const std::set<std::string>& visited_hosts) {
   DnsLeakageReport report;

@@ -31,14 +31,10 @@ struct DnsLeakageReport {
 // label-boundary-aware.
 bool IsDohProviderHost(std::string_view host);
 
-// Scans native flows for DoH queries. `visited_hosts` (may be empty)
-// classifies which lookups expose the browsing history itself.
-DnsLeakageReport AnalyzeDnsLeakage(
-    const proxy::FlowStore& native_flows,
-    const std::set<std::string>& visited_hosts = {});
-
-// Index-backed variant: the provider classification runs once per
-// distinct host and the query parameters come pre-decoded.
+// Scans a native capture for DoH queries. `visited_hosts` (may be
+// empty) classifies which lookups expose the browsing history itself.
+// The provider classification runs once per distinct host and the
+// query parameters come pre-decoded from the index.
 DnsLeakageReport AnalyzeDnsLeakage(
     const FlowIndex& native_index,
     const std::set<std::string>& visited_hosts = {});

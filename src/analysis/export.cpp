@@ -135,19 +135,8 @@ std::string SeedHex(uint64_t seed) {
   return std::string(buf.data());
 }
 
-// Sorted PII field names leaked by the native store, scanned for the
-// values of `profile` — the device the capturing job actually
-// simulated, never a hardcoded testbed. The scan runs over the
-// prebuilt index when the result carries one; results without an index
-// (hand-assembled in tests) get a local single-use build, which the
-// scanner consumes identically.
-std::vector<std::string> PiiFieldNames(const proxy::FlowStore& native,
-                                       const FlowIndex* index,
-                                       const device::DeviceProfile& profile) {
-  PiiScanner scanner(profile);
-  PiiReport report = index != nullptr
-                         ? scanner.Scan(*index)
-                         : scanner.Scan(FlowIndex::Build(native));
+// PII field names a report marks as leaked, in Table 2 order.
+std::vector<std::string> PiiFieldNames(const PiiReport& report) {
   std::vector<std::string> names;
   for (size_t i = 0; i < kPiiFieldCount; ++i) {
     if (report.leaked[i]) {
@@ -246,26 +235,16 @@ std::string FleetSummaryCsv(
       const core::CrawlResult& crawl = *result.crawl;
       engine = crawl.EngineRequestCount();
       native = crawl.NativeRequestCount();
-      engine_bytes = crawl.engine_index != nullptr
-                         ? crawl.engine_index->request_bytes_total()
-                         : crawl.engine_flows->RequestBytes();
-      native_bytes = crawl.native_index != nullptr
-                         ? crawl.native_index->request_bytes_total()
-                         : crawl.native_flows->RequestBytes();
+      engine_bytes = crawl.engine_index->request_bytes_total();
+      native_bytes = crawl.native_index->request_bytes_total();
       ratio = crawl.NativeRatio();
-      pii = PiiFieldNames(*crawl.native_flows, crawl.native_index.get(),
-                          profile)
-                .size();
+      pii = PiiScanner(profile).Scan(*crawl.native_index).LeakCount();
     } else if (result.idle.has_value()) {
       const core::IdleResult& idle = *result.idle;
       native = idle.native_flows->size();
-      native_bytes = idle.native_index != nullptr
-                         ? idle.native_index->request_bytes_total()
-                         : idle.native_flows->RequestBytes();
+      native_bytes = idle.native_index->request_bytes_total();
       ratio = native == 0 ? 0 : 1.0;  // idle traffic is all native
-      pii = PiiFieldNames(*idle.native_flows, idle.native_index.get(),
-                          profile)
-                .size();
+      pii = PiiScanner(profile).Scan(*idle.native_index).LeakCount();
     }
     std::vector<std::string> row = {
         result.job.spec.name,
@@ -345,116 +324,59 @@ std::string FleetReportJson(
       cohort_json["rooted"] = cohort.profile.rooted;
       entry["cohort"] = util::Json(std::move(cohort_json));
     }
-    const device::DeviceProfile& job_profile = result.job.cohort.profile;
+    // PII fields and findings of the native capture, plus the job's
+    // share of the population aggregate.
+    auto add_pii = [&](const FlowIndex& index, const proxy::FlowStore& store,
+                       const std::vector<core::VisitRecord>* visits,
+                       uint64_t native_requests, double native_ratio) {
+      PiiReport pii_report = PiiScanner(result.job.cohort.profile).Scan(index);
+      std::vector<std::string> pii_names = PiiFieldNames(pii_report);
+      entry["pii_fields"] = util::JsonArray(pii_names.begin(), pii_names.end());
+      entry["findings"] =
+          FindingsJson(pii_report, store, visits, job_index, result.attempts);
+      if (!population) return;
+      PopulationAggregate& agg = aggregate_for(result);
+      double w = result.job.cohort.weight;
+      agg.weight += w;
+      agg.native_requests += w * static_cast<double>(native_requests);
+      agg.native_ratio += w * native_ratio;
+      agg.pii_fields += w * static_cast<double>(pii_names.size());
+      agg.pii_union.insert(pii_names.begin(), pii_names.end());
+      ++agg.cohorts;
+    };
     if (result.crawl.has_value()) {
       const core::CrawlResult& crawl = *result.crawl;
       entry["engine_requests"] = crawl.EngineRequestCount();
       entry["native_requests"] = crawl.NativeRequestCount();
       entry["native_ratio"] = crawl.NativeRatio();
       entry["engine_request_bytes"] =
-          crawl.engine_index != nullptr
-              ? crawl.engine_index->request_bytes_total()
-              : crawl.engine_flows->RequestBytes();
+          crawl.engine_index->request_bytes_total();
       entry["native_request_bytes"] =
-          crawl.native_index != nullptr
-              ? crawl.native_index->request_bytes_total()
-              : crawl.native_flows->RequestBytes();
+          crawl.native_index->request_bytes_total();
       entry["incognito_effective"] = crawl.incognito_effective;
       entry["visits"] = static_cast<uint64_t>(crawl.visits.size());
       uint64_t ok = 0;
       for (const auto& visit : crawl.visits) ok += visit.ok ? 1 : 0;
       entry["visits_ok"] = ok;
       util::JsonArray hosts;
-      if (crawl.native_index != nullptr) {
-        for (auto& host : crawl.native_index->SortedHosts()) {
-          hosts.emplace_back(std::move(host));
-        }
-      } else {
-        for (const auto& host : crawl.native_flows->DistinctHosts()) {
-          hosts.emplace_back(host);
-        }
+      for (auto& host : crawl.native_index->SortedHosts()) {
+        hosts.emplace_back(std::move(host));
       }
       entry["native_hosts"] = std::move(hosts);
-      PiiScanner scanner(job_profile);
-      PiiReport pii_report =
-          crawl.native_index != nullptr
-              ? scanner.Scan(*crawl.native_index)
-              : scanner.Scan(FlowIndex::Build(*crawl.native_flows));
-      util::JsonArray pii;
-      size_t pii_count = 0;
-      for (size_t i = 0; i < kPiiFieldCount; ++i) {
-        if (pii_report.leaked[i]) {
-          ++pii_count;
-          pii.emplace_back(
-              std::string(PiiFieldName(static_cast<PiiField>(i))));
-        }
-      }
-      entry["pii_fields"] = std::move(pii);
-      entry["findings"] =
-          FindingsJson(pii_report, *crawl.native_flows, &crawl.visits,
-                       job_index, result.attempts);
-      if (population) {
-        PopulationAggregate& agg = aggregate_for(result);
-        double w = result.job.cohort.weight;
-        agg.weight += w;
-        agg.native_requests += w * static_cast<double>(
-                                       crawl.NativeRequestCount());
-        agg.native_ratio += w * crawl.NativeRatio();
-        agg.pii_fields += w * static_cast<double>(pii_count);
-        for (size_t i = 0; i < kPiiFieldCount; ++i) {
-          if (pii_report.leaked[i]) {
-            agg.pii_union.insert(
-                std::string(PiiFieldName(static_cast<PiiField>(i))));
-          }
-        }
-        ++agg.cohorts;
-      }
+      add_pii(*crawl.native_index, *crawl.native_flows, &crawl.visits,
+              crawl.NativeRequestCount(), crawl.NativeRatio());
     } else if (result.idle.has_value()) {
       const core::IdleResult& idle = *result.idle;
-      entry["native_requests"] =
-          static_cast<uint64_t>(idle.native_flows->size());
-      entry["native_request_bytes"] =
-          idle.native_index != nullptr
-              ? idle.native_index->request_bytes_total()
-              : idle.native_flows->RequestBytes();
+      const uint64_t native = idle.native_flows->size();
+      entry["native_requests"] = native;
+      entry["native_request_bytes"] = idle.native_index->request_bytes_total();
       util::JsonArray buckets;
       for (uint64_t count : idle.cumulative_by_bucket) {
         buckets.emplace_back(count);
       }
       entry["cumulative_by_bucket"] = std::move(buckets);
-      PiiScanner scanner(job_profile);
-      PiiReport pii_report =
-          idle.native_index != nullptr
-              ? scanner.Scan(*idle.native_index)
-              : scanner.Scan(FlowIndex::Build(*idle.native_flows));
-      util::JsonArray pii;
-      size_t pii_count = 0;
-      for (size_t i = 0; i < kPiiFieldCount; ++i) {
-        if (pii_report.leaked[i]) {
-          ++pii_count;
-          pii.emplace_back(
-              std::string(PiiFieldName(static_cast<PiiField>(i))));
-        }
-      }
-      entry["pii_fields"] = std::move(pii);
-      entry["findings"] = FindingsJson(pii_report, *idle.native_flows,
-                                       nullptr, job_index, result.attempts);
-      if (population) {
-        PopulationAggregate& agg = aggregate_for(result);
-        double w = result.job.cohort.weight;
-        agg.weight += w;
-        agg.native_requests +=
-            w * static_cast<double>(idle.native_flows->size());
-        agg.native_ratio += w * (idle.native_flows->size() == 0 ? 0.0 : 1.0);
-        agg.pii_fields += w * static_cast<double>(pii_count);
-        for (size_t i = 0; i < kPiiFieldCount; ++i) {
-          if (pii_report.leaked[i]) {
-            agg.pii_union.insert(
-                std::string(PiiFieldName(static_cast<PiiField>(i))));
-          }
-        }
-        ++agg.cohorts;
-      }
+      add_pii(*idle.native_index, *idle.native_flows, nullptr, native,
+              native == 0 ? 0.0 : 1.0);
     }
     entries.push_back(util::Json(std::move(entry)));
   }
@@ -508,22 +430,11 @@ std::optional<UidSmugglingReport> SmugglingFor(
     const core::FleetJobResult& result) {
   if (result.crawl.has_value()) {
     const core::CrawlResult& crawl = *result.crawl;
-    if (crawl.engine_index == nullptr || crawl.native_index == nullptr) {
-      return AnalyzeUidSmuggling(*crawl.engine_flows,
-                                 FlowIndex::Build(*crawl.engine_flows),
-                                 *crawl.native_flows,
-                                 FlowIndex::Build(*crawl.native_flows));
-    }
     return AnalyzeUidSmuggling(*crawl.engine_flows, *crawl.engine_index,
                                *crawl.native_flows, *crawl.native_index);
   }
   if (result.idle.has_value()) {
     const core::IdleResult& idle = *result.idle;
-    if (idle.native_index == nullptr) {
-      return AnalyzeUidSmuggling(EmptyFlowStore(), EmptyFlowIndex(),
-                                 *idle.native_flows,
-                                 FlowIndex::Build(*idle.native_flows));
-    }
     return AnalyzeUidSmuggling(EmptyFlowStore(), EmptyFlowIndex(),
                                *idle.native_flows, *idle.native_index);
   }

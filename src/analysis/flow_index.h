@@ -196,8 +196,7 @@ class FlowIndex {
   uint64_t request_bytes_total() const { return request_bytes_total_; }
   uint64_t response_bytes_total() const { return response_bytes_total_; }
 
-  // Sorted distinct raw hosts — same contents as
-  // FlowStore::DistinctHosts(), without rescanning flows.
+  // Sorted distinct raw hosts, without rescanning flows.
   std::vector<std::string> SortedHosts() const;
 
   // Binary round trip (snapshot payload). Only the interned tables,

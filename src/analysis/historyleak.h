@@ -20,6 +20,10 @@
 #include "proxy/flowstore.h"
 #include "util/multiscan.h"
 
+namespace panoptes::oracle {
+struct Access;
+}  // namespace panoptes::oracle
+
 namespace panoptes::analysis {
 
 class FlowIndex;
@@ -48,26 +52,41 @@ class HistoryLeakDetector {
   // `visited` are the URLs the campaign navigated to.
   explicit HistoryLeakDetector(std::vector<net::Url> visited);
 
-  // Scans a flow store. `engine_store` true marks findings as
-  // injection-based (the UC case: leak rides tainted engine traffic to
-  // a non-website destination).
-  std::vector<LeakFinding> Scan(const proxy::FlowStore& flows,
-                                bool engine_store = false) const;
-
-  // Index-backed variant: candidate texts come from the pre-decoded
+  // Scans a capture. Candidate texts come from the index's pre-decoded
   // parameter pool; only raw bodies are read back from the store, so
-  // `index` must have been built over (or merged from) `flows`. Falls
-  // back to the store scan when the two disagree in size.
+  // `index` must have been built over (or merged from) `flows` — an
+  // index of another size is replaced by a fresh build. `engine_store`
+  // true marks findings as injection-based (the UC case: leak rides
+  // tainted engine traffic to a non-website destination).
   std::vector<LeakFinding> Scan(const proxy::FlowStore& flows,
                                 const FlowIndex& index,
                                 bool engine_store = false) const;
 
  private:
+  // tests/oracle's store-rescan reference shares the matching and
+  // reporting steps below.
+  friend struct oracle::Access;
+
   struct Hit {
     bool full_url = false;
     std::string encoding;
     std::string sample;
   };
+
+  // Per-destination tallies.
+  struct Accumulator {
+    uint64_t full_reports = 0;
+    uint64_t host_reports = 0;
+    bool persistent_identifier = false;
+    std::string identifier_sample;
+    std::string encoding;
+    std::string sample;
+    uint64_t flow_uid = 0;  // uid of the flow `sample` came from
+  };
+
+  // One finding per destination, most reports first.
+  static std::vector<LeakFinding> Finalize(
+      std::map<std::string, Accumulator>& by_destination, bool engine_store);
 
   // Precomputed match targets per visited URL (serialisation and its
   // Base64 form), so scanning is linear in the traffic volume.

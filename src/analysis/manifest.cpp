@@ -1,5 +1,6 @@
 #include "analysis/manifest.h"
 
+#include "analysis/flow_index.h"
 #include "analysis/historyleak.h"
 #include "analysis/pii.h"
 #include "analysis/stats.h"
@@ -152,10 +153,10 @@ ManifestResult RunManifest(const Manifest& manifest) {
       entry_result.engine_requests = crawl.engine_flows->size();
       entry_result.native_requests = crawl.native_flows->size();
       entry_result.native_ratio = crawl.NativeRatio();
-      for (const auto* store :
-           {crawl.native_flows.get(), crawl.engine_flows.get()}) {
-        bool engine = store == crawl.engine_flows.get();
-        for (const auto& leak : detector.Scan(*store, engine)) {
+      for (bool engine : {false, true}) {
+        const auto& store = engine ? *crawl.engine_flows : *crawl.native_flows;
+        const auto& index = engine ? *crawl.engine_index : *crawl.native_index;
+        for (const auto& leak : detector.Scan(store, index, engine)) {
           if (leak.granularity == LeakGranularity::kFullUrl) {
             ++entry_result.full_url_leak_destinations;
           } else {
@@ -163,16 +164,14 @@ ManifestResult RunManifest(const Manifest& manifest) {
           }
         }
       }
-      entry_result.pii_fields =
-          scanner.Scan(*crawl.native_flows).LeakCount();
+      entry_result.pii_fields = scanner.Scan(*crawl.native_index).LeakCount();
     } else {
       core::IdleOptions idle_options;
       idle_options.duration = util::Duration::Minutes(entry.idle_minutes);
       auto idle = core::RunIdle(framework, *spec, idle_options);
       entry_result.native_requests = idle.native_flows->size();
       entry_result.native_ratio = 1.0;  // idle traffic is all native
-      entry_result.pii_fields =
-          scanner.Scan(*idle.native_flows).LeakCount();
+      entry_result.pii_fields = scanner.Scan(*idle.native_index).LeakCount();
     }
     result.entries.push_back(std::move(entry_result));
   }

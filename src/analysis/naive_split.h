@@ -25,10 +25,8 @@ class NaiveSplitter {
   // `site_hosts` are the crawled sites (first-party hosts).
   explicit NaiveSplitter(std::set<std::string> site_hosts);
 
-  // Predicted origin for one flow, ignoring its taint.
-  proxy::TrafficOrigin Predict(const proxy::Flow& flow) const;
-
-  // The prediction is a pure function of the destination host; matching
+  // Predicted origin for a flow to `raw_host`, ignoring its taint. The
+  // prediction is a pure function of the destination host; matching
   // is case-insensitive and label-boundary-aware (net::CanonicalHost).
   proxy::TrafficOrigin PredictHost(std::string_view raw_host) const;
 
@@ -44,18 +42,13 @@ class NaiveSplitter {
     double accuracy = 0;
   };
 
-  // Scores predictions against taint ground truth over both stores.
-  Score Evaluate(const proxy::FlowStore& engine_flows,
-                 const proxy::FlowStore& native_flows) const;
-
-  // Index-backed variant: the prediction is per-host, so it runs once
-  // per distinct host and is weighted by that host's posting size.
+  // Scores predictions against taint ground truth over both captures.
+  // The prediction is per-host, so it runs once per distinct host and
+  // is weighted by that host's posting size.
   Score Evaluate(const FlowIndex& engine_index,
                  const FlowIndex& native_index) const;
 
  private:
-  void ScoreStore(const proxy::FlowStore& flows,
-                  proxy::TrafficOrigin truth, Score& score) const;
   void ScoreIndex(const FlowIndex& index, proxy::TrafficOrigin truth,
                   Score& score) const;
 

@@ -1,8 +1,6 @@
 #include "analysis/pii.h"
 
 #include "analysis/flow_index.h"
-#include "util/base64.h"
-#include "util/json.h"
 #include "util/multiscan.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -10,30 +8,6 @@
 namespace panoptes::analysis {
 
 namespace {
-
-void Mark(PiiReport& report, PiiField field, const std::string& host,
-          uint64_t value_hash, std::string sample, uint64_t flow_uid) {
-  report.leaked[static_cast<size_t>(field)] = true;
-  // Dedup on the hash of the FULL value, not the (truncated) sample:
-  // two long values sharing an 80-byte prefix are distinct sightings,
-  // while the same value re-sent to the same host is not. The first
-  // sighting's flow_uid sticks — uid is provenance, never identity, so
-  // evidence is unchanged by the flow_uid column.
-  for (const auto& existing : report.evidence) {
-    if (existing.field == field && existing.host == host &&
-        existing.value_hash == value_hash) {
-      return;
-    }
-  }
-  report.evidence.push_back(
-      PiiEvidence{field, host, std::move(sample), value_hash, flow_uid});
-}
-
-// Live proxy::Flow objects have no store ordinal yet, so the shared
-// scan implementation reports uid 0 for them; stored FlowViews carry
-// their provenance uid.
-uint64_t UidOf(const proxy::Flow&) { return 0; }
-uint64_t UidOf(const proxy::FlowView& flow) { return flow.uid; }
 
 // Two-decimal needle for coordinate prefix matching, derived by
 // TRUNCATING the emitted four-decimal rendering — never by rounding.
@@ -75,6 +49,25 @@ size_t PiiReport::LeakCount() const {
     if (flag) ++count;
   }
   return count;
+}
+
+void PiiScanner::Mark(PiiReport& report, PiiField field,
+                      const std::string& host, uint64_t value_hash,
+                      std::string sample, uint64_t flow_uid) {
+  report.leaked[static_cast<size_t>(field)] = true;
+  // Dedup on the hash of the FULL value, not the (truncated) sample:
+  // two long values sharing an 80-byte prefix are distinct sightings,
+  // while the same value re-sent to the same host is not. The first
+  // sighting's flow_uid sticks — uid is provenance, never identity, so
+  // evidence is unchanged by the flow_uid column.
+  for (const auto& existing : report.evidence) {
+    if (existing.field == field && existing.host == host &&
+        existing.value_hash == value_hash) {
+      return;
+    }
+  }
+  report.evidence.push_back(
+      PiiEvidence{field, host, std::move(sample), value_hash, flow_uid});
 }
 
 struct PiiScanner::KeyTraits {
@@ -191,70 +184,6 @@ void PiiScanner::ScanValue(const KeyTraits& traits, std::string_view key_hint,
        util::EqualsIgnoreCase(value, "cellular"))) {
     Mark(report, PiiField::kNetworkType, host, value_hash, sample(), flow_uid);
   }
-}
-
-template <typename FlowT>
-void PiiScanner::ScanFlowImpl(const FlowT& flow, PiiReport& report) const {
-  const std::string host(flow.Host());
-  const uint64_t flow_uid = UidOf(flow);
-
-  for (const auto& [key, value] : flow.url.QueryParams()) {
-    ScanText(key, value, host, flow_uid, report);
-    // Values may be Base64-wrapped (the paper decodes them too).
-    if (auto decoded = util::Base64Decode(value);
-        decoded && value.size() >= 8) {
-      ScanText(key, *decoded, host, flow_uid, report);
-    }
-  }
-
-  if (flow.request_body.empty()) return;
-  auto json = util::Json::Parse(flow.request_body);
-  if (!json || !json->is_object()) return;
-  for (const auto& [key, value] : json->as_object()) {
-    if (value.is_string()) {
-      ScanText(key, value.as_string(), host, flow_uid, report);
-    } else if (value.is_number()) {
-      double number = value.as_number();
-      // Exact integers print bare; keep enough precision for lat/lon.
-      std::string text = number == static_cast<int64_t>(number)
-                             ? std::to_string(static_cast<int64_t>(number))
-                             : util::FormatDouble(number, 4);
-      ScanText(key, text, host, flow_uid, report);
-    } else if (value.is_bool()) {
-      ScanText(key, value.as_bool() ? "true" : "false", host,
-               flow_uid, report);
-    }
-  }
-
-  // Resolution split across two JSON numbers (Opera's oleads body).
-  const auto* width = json->Find("deviceScreenWidth");
-  const auto* height = json->Find("deviceScreenHeight");
-  if (width != nullptr && height != nullptr && width->is_number() &&
-      height->is_number() &&
-      static_cast<int>(width->as_number()) == profile_.screen_width &&
-      static_cast<int>(height->as_number()) == profile_.screen_height) {
-    std::string joined = std::to_string(profile_.screen_width) + "x" +
-                         std::to_string(profile_.screen_height);
-    Mark(report, PiiField::kResolution, host, util::HashString(joined),
-         "deviceScreenWidth/Height=" + joined, flow_uid);
-  }
-}
-
-void PiiScanner::ScanFlow(const proxy::Flow& flow, PiiReport& report) const {
-  ScanFlowImpl(flow, report);
-}
-
-void PiiScanner::ScanFlow(const proxy::FlowView& flow,
-                          PiiReport& report) const {
-  ScanFlowImpl(flow, report);
-}
-
-PiiReport PiiScanner::Scan(const proxy::FlowStore& flows) const {
-  PiiReport report;
-  for (const auto& flow : flows.flows()) {
-    ScanFlow(flow, report);
-  }
-  return report;
 }
 
 PiiReport PiiScanner::Scan(const FlowIndex& index) const {

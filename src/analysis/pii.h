@@ -17,6 +17,10 @@
 #include "device/profile.h"
 #include "proxy/flowstore.h"
 
+namespace panoptes::oracle {
+struct Access;
+}  // namespace panoptes::oracle
+
 namespace panoptes::analysis {
 
 class FlowIndex;
@@ -45,9 +49,9 @@ struct PiiEvidence {
   std::string sample;    // "key=value" or JSON fragment, UTF-8-safe cut
   uint64_t value_hash = 0;  // hash of the FULL (untruncated) value
   // Provenance uid of the FIRST flow that leaked this (field, host,
-  // value) triple — see proxy::FlowView::uid. 0 when the scan ran over
-  // a live proxy::Flow (no store ordinal yet). Not part of evidence
-  // identity: dedup still keys on (field, host, value_hash) only.
+  // value) triple — see proxy::FlowView::uid. 0 for a flow without a
+  // provenance tag. Not part of evidence identity: dedup still keys on
+  // (field, host, value_hash) only.
   uint64_t flow_uid = 0;
 };
 
@@ -66,30 +70,26 @@ class PiiScanner {
  public:
   explicit PiiScanner(device::DeviceProfile profile);
 
-  // Scans every flow in the store (native database).
-  PiiReport Scan(const proxy::FlowStore& flows) const;
-
-  // Same report, computed from the pre-parsed index: the query/body
-  // decode work was already done once at index build time.
+  // Scans every flow of a native capture through its index: the
+  // query/body decode work was already done once at index build time.
   PiiReport Scan(const FlowIndex& index) const;
 
-  // Scans one flow, appending evidence to `report`. The Flow and
-  // FlowView overloads share one implementation and produce identical
-  // evidence.
-  void ScanFlow(const proxy::Flow& flow, PiiReport& report) const;
-  void ScanFlow(const proxy::FlowView& flow, PiiReport& report) const;
-
  private:
+  // tests/oracle's store-rescan reference drives the per-value scan.
+  friend struct oracle::Access;
+
   // Which keyword hints a key carries. Computed once per distinct key:
-  // the index interns keys, so the indexed scan caches traits per
-  // key_id instead of re-running the substring probes on every value.
+  // the index interns keys, so the scan caches traits per key_id
+  // instead of re-running the substring probes on every value.
   struct KeyTraits;
 
   static KeyTraits TraitsOf(std::string_view key_hint);
-  template <typename FlowT>
-  void ScanFlowImpl(const FlowT& flow, PiiReport& report) const;
-  // `flow_uid` is the scanned flow's provenance uid (0 when unknown);
-  // it rides into PiiEvidence::flow_uid on first sighting.
+  // Records a leak of `field` to `host`, deduplicated on the hash of
+  // the full value. `flow_uid` is the leaking flow's provenance uid; it
+  // rides into PiiEvidence::flow_uid on first sighting.
+  static void Mark(PiiReport& report, PiiField field, const std::string& host,
+                   uint64_t value_hash, std::string sample, uint64_t flow_uid);
+  // Scans one key/value pair sent to `host`.
   void ScanText(std::string_view key_hint, std::string_view value,
                 const std::string& host, uint64_t flow_uid,
                 PiiReport& report) const;

@@ -38,15 +38,12 @@ struct RefererReport {
   }
 };
 
-// Scans an engine flow store (requires a non-compact store: headers
-// must have been retained).
-RefererReport AnalyzeRefererLeakage(const proxy::FlowStore& engine_flows);
-
-// Index-backed variant: destination registrable domains come from the
-// interned host table and referer-host domains are memoized, so the
-// PSL walk runs per distinct host instead of per flow. Headers are
-// still read from the store; `index` must match it (falls back to the
-// store scan when the sizes disagree).
+// Scans an engine capture (requires a non-compact store: headers must
+// have been retained). Destination registrable domains come from the
+// index's interned host table and referer-host domains are memoized, so
+// the PSL walk runs per distinct host instead of per flow. Headers are
+// read from the store; `index` must match it (an index of another size
+// is replaced by a fresh build).
 RefererReport AnalyzeRefererLeakage(const proxy::FlowStore& engine_flows,
                                     const FlowIndex& index);
 

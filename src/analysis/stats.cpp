@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "analysis/flow_index.h"
-#include "net/psl.h"
 
 namespace panoptes::analysis {
 
@@ -21,14 +20,9 @@ RequestStats ComputeRequestStats(const core::CrawlResult& result) {
 VolumeStats ComputeVolumeStats(const core::CrawlResult& result) {
   VolumeStats stats;
   stats.browser = result.browser;
-  // Byte totals are accumulated at index-build time; summing the store
-  // again only covers results whose index was never built (tests).
-  stats.engine_bytes = result.engine_index != nullptr
-                           ? result.engine_index->request_bytes_total()
-                           : result.engine_flows->RequestBytes();
-  stats.native_bytes = result.native_index != nullptr
-                           ? result.native_index->request_bytes_total()
-                           : result.native_flows->RequestBytes();
+  // Byte totals are accumulated at index-build time.
+  stats.engine_bytes = result.engine_index->request_bytes_total();
+  stats.native_bytes = result.native_index->request_bytes_total();
   stats.native_extra_fraction =
       stats.engine_bytes == 0
           ? 0
@@ -55,17 +49,11 @@ DomainStats ComputeDomainStats(const core::CrawlResult& result,
       stats.ad_hosts.push_back(host);
     }
   };
-  if (result.native_index != nullptr) {
-    // The host table already carries each distinct host with its
-    // registrable domain; no flow rescan, no re-derivation.
-    stats.distinct_hosts = result.native_index->hosts().size();
-    for (const auto& host : result.native_index->hosts()) {
-      classify(host.raw, host.domain);
-    }
-  } else {
-    auto hosts = result.native_flows->DistinctHosts();
-    stats.distinct_hosts = hosts.size();
-    for (const auto& host : hosts) classify(host, net::RegistrableDomain(host));
+  // The host table already carries each distinct host with its
+  // registrable domain; no flow rescan, no re-derivation.
+  stats.distinct_hosts = result.native_index->hosts().size();
+  for (const auto& host : result.native_index->hosts()) {
+    classify(host.raw, host.domain);
   }
   std::sort(stats.ad_hosts.begin(), stats.ad_hosts.end());
   if (stats.distinct_hosts > 0) {

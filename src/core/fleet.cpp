@@ -44,19 +44,12 @@ device::NetworkStackStats SumStats(const device::NetworkStackStats& a,
 // Extends `into_index` with `from_index` during a shard merge. Appending
 // interns `from`'s tables in first-appearance order — exactly what
 // Build() over the appended store would produce — so the merged index
-// serializes byte-identically to a from-scratch rebuild; the rebuild
-// branch only covers indexes a caller never populated.
+// serializes byte-identically to a from-scratch rebuild.
 void MergeIndex(std::shared_ptr<const analysis::FlowIndex>* into_index,
-                const std::shared_ptr<const analysis::FlowIndex>& from_index,
-                const proxy::FlowStore& merged_store) {
-  if (*into_index != nullptr && from_index != nullptr) {
-    auto combined = std::make_shared<analysis::FlowIndex>(**into_index);
-    combined->Append(*from_index);
-    *into_index = std::move(combined);
-  } else {
-    *into_index = std::make_shared<const analysis::FlowIndex>(
-        analysis::FlowIndex::Build(merged_store));
-  }
+                const analysis::FlowIndex& from_index) {
+  auto combined = std::make_shared<analysis::FlowIndex>(**into_index);
+  combined->Append(from_index);
+  *into_index = std::move(combined);
 }
 
 // Fleet-layer metrics, registered once. References stay valid for the
@@ -515,8 +508,8 @@ std::vector<FleetJobResult> FleetExecutor::MergeShards(
     CrawlResult& from = *result.crawl;
     into.engine_flows->Append(*from.engine_flows);
     into.native_flows->Append(*from.native_flows);
-    MergeIndex(&into.engine_index, from.engine_index, *into.engine_flows);
-    MergeIndex(&into.native_index, from.native_index, *into.native_flows);
+    MergeIndex(&into.engine_index, *from.engine_index);
+    MergeIndex(&into.native_index, *from.native_index);
     into.visits.insert(into.visits.end(),
                        std::make_move_iterator(from.visits.begin()),
                        std::make_move_iterator(from.visits.end()));

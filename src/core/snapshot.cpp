@@ -10,28 +10,24 @@ namespace panoptes::core::snapshot {
 
 namespace {
 
-// Index payloads are presence-flagged so a result whose index was never
-// built (hand-assembled in tests) still snapshots cleanly; readers
-// rebuild absent indexes from the store, which serializes to the same
-// bytes as the one that was skipped.
-void WriteIndex(const std::shared_ptr<const analysis::FlowIndex>& index,
-                util::BinWriter& out) {
-  out.Bool(index != nullptr);
-  if (index != nullptr) index->SerializeTo(out);
+// Each index payload keeps its leading presence byte, always 1: every
+// result carries its indexes, so a snapshot without one (or with one
+// that does not cover its store) is corrupt.
+void WriteIndex(const analysis::FlowIndex& index, util::BinWriter& out) {
+  out.Bool(true);
+  index.SerializeTo(out);
 }
 
 bool ReadIndex(util::BinReader& in, const proxy::FlowStore& store,
                std::shared_ptr<const analysis::FlowIndex>* index) {
-  if (in.Bool()) {
-    std::shared_ptr<const analysis::FlowIndex> restored =
-        analysis::FlowIndex::Deserialize(in);
-    if (restored == nullptr) return false;
-    *index = std::move(restored);
-  } else {
-    *index = std::make_shared<const analysis::FlowIndex>(
-        analysis::FlowIndex::Build(store));
+  if (!in.Bool()) return false;
+  std::unique_ptr<analysis::FlowIndex> restored =
+      analysis::FlowIndex::Deserialize(in);
+  if (!restored || !in.ok() || restored->flow_count() != store.size()) {
+    return false;
   }
-  return in.ok();
+  *index = std::move(restored);
+  return true;
 }
 
 void WriteStackStats(const device::NetworkStackStats& stats,
@@ -126,9 +122,9 @@ void WriteCrawl(const CrawlResult& crawl, util::BinWriter& out) {
   out.Bool(crawl.incognito_requested);
   out.Bool(crawl.incognito_effective);
   crawl.engine_flows->SerializeTo(out);
-  WriteIndex(crawl.engine_index, out);
+  WriteIndex(*crawl.engine_index, out);
   crawl.native_flows->SerializeTo(out);
-  WriteIndex(crawl.native_index, out);
+  WriteIndex(*crawl.native_index, out);
   out.U32(static_cast<uint32_t>(crawl.visits.size()));
   for (const auto& visit : crawl.visits) WriteVisit(visit, out);
   WriteStackStats(crawl.stack_stats, out);
@@ -166,7 +162,7 @@ bool ReadCrawl(util::BinReader& in, CrawlResult* crawl) {
 void WriteIdle(const IdleResult& idle, util::BinWriter& out) {
   out.Str(idle.browser);
   idle.native_flows->SerializeTo(out);
-  WriteIndex(idle.native_index, out);
+  WriteIndex(*idle.native_index, out);
   out.U64(idle.fault_injected_flows);
   out.U32(static_cast<uint32_t>(idle.cumulative_by_bucket.size()));
   for (uint64_t value : idle.cumulative_by_bucket) out.U64(value);

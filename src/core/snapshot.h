@@ -32,7 +32,8 @@ namespace panoptes::core::snapshot {
 
 inline constexpr std::string_view kMagic = "PANOSNAP";
 // v2: each flow store is followed by its serialized analysis::FlowIndex
-// (presence-flagged; absent indexes are rebuilt from the store on read).
+// behind a presence byte. Every result carries its indexes, so the
+// byte is always 1 and a 0 marks a corrupt snapshot.
 // v3: flow stores use the arena encoding (proxy::FlowStore's 0xF3 tag:
 // interned pools + one payload blob, deserialized as a near-zero-copy
 // blit). v4: provenance — flow stores carry per-record uids (0xF4 tag),

@@ -14,21 +14,16 @@ namespace panoptes::proxy {
 
 namespace {
 
-// First byte of a schema-v3 store. The legacy (v2) encoding began with
-// Bool(compact), so its first byte is always 0 or 1 — any other value
-// is free to act as a version tag.
-constexpr uint8_t kV3Tag = 0xF3;
-// v4 adds the per-record provenance uid. Writers always emit v4;
-// readers still accept v3 (uid falls back to the bare ordinal) and the
-// legacy v2 per-flow encoding.
+// First byte of a v4 store record stream (per-record provenance uid).
+// v6 snapshots still carry v4 streams.
 constexpr uint8_t kV4Tag = 0xF4;
 // First byte of a relocatable arena image (DumpRelocatable). Spill
 // segments only — never a portable snapshot tag.
 constexpr uint8_t kRelocTag = 0xF5;
 // v5 appends redirect-chain provenance (redirect_of uid, hop index)
-// to each record. Writers always emit v5; readers accept v5/v4/v3
-// (older records fall back to "no chain") and legacy v2. 0xF5 is the
-// reloc tag, so v5 takes the next free byte.
+// to each record. Writers always emit v5; readers accept v5 and v4
+// (v4 records fall back to "no chain"). 0xF5 is the reloc tag, so v5
+// takes the next free byte.
 constexpr uint8_t kV5Tag = 0xF6;
 
 // Bound on the chain-tails map. Tokens are minted monotonically per
@@ -60,7 +55,7 @@ void FlowStore::Add(Flow flow) {
       "Flows stored into a flow database (first capture; shard merges "
       "are not re-counted)");
   stored.Inc();
-  AddUncounted(flow);
+  StoreFlow(flow);
   if (journal_ != nullptr) {
     const FlowView& rec = recs_.back();
     auto event = journal_->Emit(flow.time.millis, "store", "flow_stored")
@@ -76,10 +71,6 @@ void FlowStore::Add(Flow flow) {
   }
 }
 
-void FlowStore::AddUncounted(const Flow& flow) {
-  StoreFlow(flow, /*keep_headers_and_body=*/!compact_);
-}
-
 void FlowStore::TruncateTo(size_t size) {
   if (size >= recs_.size()) return;
   static obs::Counter& rolled_back = obs::MetricsRegistry::Default().GetCounter(
@@ -90,7 +81,7 @@ void FlowStore::TruncateTo(size_t size) {
   recs_.resize(size);
 }
 
-void FlowStore::StoreFlow(const Flow& flow, bool keep_headers_and_body) {
+void FlowStore::StoreFlow(const Flow& flow) {
   FlowView rec;
   rec.id = flow.id;
   rec.uid = (static_cast<uint64_t>(provenance_tag_) << 32) |
@@ -109,7 +100,7 @@ void FlowStore::StoreFlow(const Flow& flow, bool keep_headers_and_body) {
   if (auto view = net::UrlView::Parse(stored_url)) rec.url = *view;
   rec.host_id = InternHost(rec.url.host());
 
-  if (keep_headers_and_body) {
+  if (!compact_) {
     const auto& entries = flow.request_headers.entries();
     if (!entries.empty()) {
       HeaderView* arr = arena_.AllocArray<HeaderView>(entries.size());
@@ -180,7 +171,7 @@ void FlowStore::StoreRec(const FlowView& src) {
 
 void FlowStore::Append(const FlowStore& other) {
   if (other.recs_.empty()) return;
-  // Merges copy flows verbatim — going through AddUncounted here would
+  // Merges copy flows verbatim — going through StoreFlow here would
   // re-apply *this* store's compaction to flows whose capture-time
   // policy already decided what to keep.
   if (&other == this) {
@@ -272,33 +263,11 @@ void FlowStore::SerializeTo(util::BinWriter& out) const {
 
 std::unique_ptr<FlowStore> FlowStore::Deserialize(util::BinReader& in) {
   uint8_t tag = in.U8();
-  if (!in.ok()) return nullptr;
-
-  if (tag <= 1) {
-    // Legacy v2 layout: Bool(compact) first, then per-flow owned
-    // encodings. Decoded flows take the copy path into the arena with
-    // their capture-time contents kept as-is (compact flows already
-    // carry empty headers/bodies, so re-applying compaction would be a
-    // no-op; keep_headers_and_body preserves any store's contents).
-    auto store = std::make_unique<FlowStore>(tag == 1);
-    store->dropped_writes_ = in.U64();
-    uint32_t count = in.U32();
-    // The count is untrusted: a corrupt header must not drive a huge
-    // reservation (every serialized flow occupies well over 8 bytes).
-    if (!in.ok() || count > in.remaining() / 8) return nullptr;
-    store->recs_.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      Flow flow;
-      if (!DeserializeFlow(in, &flow)) return nullptr;
-      store->StoreFlow(flow, /*keep_headers_and_body=*/true);
-    }
-    return store;
-  }
-  if (tag != kV3Tag && tag != kV4Tag && tag != kV5Tag) return nullptr;
+  if (!in.ok() || (tag != kV4Tag && tag != kV5Tag)) return nullptr;
 
   auto store = std::make_unique<FlowStore>(in.Bool());
   store->dropped_writes_ = in.U64();
-  if (!store->AppendRecordsV34(tag, in)) return nullptr;
+  if (!store->AppendRecords(tag, in)) return nullptr;
   return store;
 }
 
@@ -417,7 +386,7 @@ bool FlowStore::AppendRelocatable(util::BinReader& in) {
 
   // Merge the dumped host pool into this store's, reusing the carried
   // domains. Pool entries interned before a later failure stay behind
-  // unreferenced — the same arena contract as AppendRecordsV34:
+  // unreferenced — the same arena contract as AppendRecords:
   // serialization rebuilds pools from live records, so stragglers
   // never reach an output byte.
   uint32_t host_count = in.U32();
@@ -492,8 +461,7 @@ bool FlowStore::AppendRelocatable(util::BinReader& in) {
   return true;
 }
 
-bool FlowStore::AppendRecordsV34(uint8_t tag, util::BinReader& in) {
-  const bool has_uid = tag == kV4Tag || tag == kV5Tag;
+bool FlowStore::AppendRecords(uint8_t tag, util::BinReader& in) {
   const bool has_chain = tag == kV5Tag;
   const size_t mark = recs_.size();
   // On any failure the record vector is rewound to `mark`, so the
@@ -544,9 +512,7 @@ bool FlowStore::AppendRecordsV34(uint8_t tag, util::BinReader& in) {
   for (uint32_t i = 0; i < count && in.ok(); ++i) {
     FlowView rec;
     rec.id = in.U64();
-    // v3 snapshots predate provenance uids; the bare ordinal (tag 0)
-    // keeps them readable without inventing a job identity.
-    rec.uid = has_uid ? in.U64() : static_cast<uint64_t>(mark + i);
+    rec.uid = in.U64();
     rec.time.millis = in.I64();
     uint32_t browser_id = in.U32();
     if (browser_id >= labels.size()) return fail();
@@ -638,18 +604,6 @@ uint64_t FlowStore::TotalBytes() const {
     total += rec.request_bytes + rec.response_bytes;
   }
   return total;
-}
-
-uint64_t FlowStore::RequestBytes() const {
-  uint64_t total = 0;
-  for (const FlowView& rec : recs_) total += rec.request_bytes;
-  return total;
-}
-
-std::set<std::string> FlowStore::DistinctHosts() const {
-  std::set<std::string> out;
-  for (const FlowView& rec : recs_) out.insert(std::string(rec.Host()));
-  return out;
 }
 
 std::set<std::string> FlowStore::DistinctDomains() const {

@@ -158,16 +158,15 @@ class FlowStore : public FlowSink {
   }
 
   // Binary round trip for the job-snapshot format (schema v5 payload:
-  // v4 — v3 plus the per-record provenance uid — plus the per-record
+  // v4 records — each with its provenance uid — plus the per-record
   // redirect-chain provenance: redirect_of uid and hop index).
   // Writes the compaction flag, the dropped-write count, the interned
   // name/label pools actually referenced by live flows (in first-
   // reference order, so a store that was truncated serializes exactly
   // like one that never held the discarded flows) and one payload blob
-  // plus fixed-width records. Deserialize recognizes the v5/v4/v3 tag
-  // bytes and reconstructs views over a single blob copy — the
-  // near-zero-copy path — while first bytes 0/1 (the legacy leading
-  // `compact` Bool) route v2 snapshots through the per-flow copy path. Returns nullptr
+  // plus fixed-width records. Deserialize recognizes the v5 and v4 tag
+  // bytes (v6 snapshots carry v4 streams) and reconstructs views over a
+  // single blob copy; any other first byte is rejected. Returns nullptr
   // on truncation or corruption. Restored flows never re-enter the
   // stored-flows metric (they were counted at first capture, in the
   // run that produced the snapshot).
@@ -216,10 +215,8 @@ class FlowStore : public FlowSink {
 
   // Total request + response wire bytes across stored flows.
   uint64_t TotalBytes() const;
-  uint64_t RequestBytes() const;
 
-  // Distinct request hosts / registrable domains.
-  std::set<std::string> DistinctHosts() const;
+  // Distinct registrable domains of request hosts.
   std::set<std::string> DistinctDomains() const;
 
   std::vector<FlowView> Where(
@@ -229,19 +226,16 @@ class FlowStore : public FlowSink {
   std::vector<FlowView> ToDomain(std::string_view domain) const;
 
  private:
-  // Add without the stored-flows counter (Append re-stores copies that
-  // were already counted when first captured).
-  void AddUncounted(const Flow& flow);
-  // Copies `flow` into the arena and appends its record. Compaction is
-  // decided by the caller: restored/merged flows keep exactly what
-  // their capture-time policy kept.
-  void StoreFlow(const Flow& flow, bool keep_headers_and_body);
+  // Copies `flow` into the arena and appends its record, dropping
+  // headers and body in a compact store. Does not bump the stored-flows
+  // counter; Add does.
+  void StoreFlow(const Flow& flow);
   // Cross-store Append of one record (payload bytes re-arena'd here).
   void StoreRec(const FlowView& rec);
 
-  // Shared v3/v4/v5 record-stream reader behind Deserialize and
-  // AppendSerialized: appends into this store, all-or-nothing.
-  bool AppendRecordsV34(uint8_t tag, util::BinReader& in);
+  // v4/v5 record-stream reader behind Deserialize: appends into this
+  // store, all-or-nothing.
+  bool AppendRecords(uint8_t tag, util::BinReader& in);
 
   uint32_t InternHost(std::string_view host);
   std::string_view InternLabel(std::string_view label);

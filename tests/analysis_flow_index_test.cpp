@@ -7,8 +7,8 @@
 //      merged stores), and Deserialize(Serialize(x)) is byte-faithful
 //      (the snapshot carries indexes; rebuilt and restored indexes must
 //      be indistinguishable);
-//   3. every indexed analyzer overload reproduces its legacy
-//      store-scanning twin field for field on a real crawl.
+//   3. every analyzer reproduces its reference store scan
+//      (tests/oracle) field for field on a real crawl.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -26,6 +26,7 @@
 #include "browser/profiles.h"
 #include "core/campaign.h"
 #include "core/framework.h"
+#include "oracle/oracle.h"
 #include "util/base64.h"
 #include "util/binio.h"
 
@@ -68,10 +69,10 @@ TEST(FlowIndex, TablesPostingsAndTotalsMatchStoreScans) {
   FlowIndex index = FlowIndex::Build(store);
 
   ASSERT_EQ(index.flow_count(), store.size());
-  EXPECT_EQ(index.request_bytes_total(), store.RequestBytes());
+  EXPECT_EQ(index.request_bytes_total(), oracle::RequestBytes(store));
 
   // Hosts: same distinct set, interned in first-appearance order.
-  auto distinct = store.DistinctHosts();
+  auto distinct = oracle::DistinctHosts(store);
   EXPECT_EQ(index.hosts().size(), distinct.size());
   std::vector<std::string> sorted(distinct.begin(), distinct.end());
   EXPECT_EQ(index.SortedHosts(), sorted);
@@ -192,7 +193,7 @@ TEST(FlowIndex, DeserializeRejectsTruncation) {
 }
 
 // ---------------------------------------------------------------------------
-// Indexed analyzers == legacy analyzers, on a real crawl.
+// Analyzers == reference store scans, on a real crawl.
 // ---------------------------------------------------------------------------
 
 struct CrawlFixture {
@@ -227,7 +228,7 @@ const CrawlFixture& Crawl() {
 TEST(FlowIndexAnalyzers, PiiScanMatchesLegacy) {
   const auto& f = Crawl();
   PiiScanner scanner(device::DeviceProfile::PaperTestbed());
-  PiiReport legacy = scanner.Scan(*f.result.native_flows);
+  PiiReport legacy = oracle::ScanPii(scanner, *f.result.native_flows);
   PiiReport indexed = scanner.Scan(*f.result.native_index);
   EXPECT_EQ(indexed.leaked, legacy.leaked);
   ASSERT_EQ(indexed.evidence.size(), legacy.evidence.size());
@@ -249,7 +250,7 @@ TEST(FlowIndexAnalyzers, HistoryLeakScanMatchesLegacy) {
                                : *f.result.native_flows;
     const auto& index = engine ? *f.result.engine_index
                                : *f.result.native_index;
-    auto legacy = detector.Scan(store, engine);
+    auto legacy = oracle::ScanHistory(detector, store, engine);
     auto indexed = detector.Scan(store, index, engine);
     ASSERT_EQ(indexed.size(), legacy.size());
     for (size_t i = 0; i < legacy.size(); ++i) {
@@ -268,7 +269,7 @@ TEST(FlowIndexAnalyzers, HistoryLeakScanMatchesLegacy) {
 TEST(FlowIndexAnalyzers, GeoMatchesLegacy) {
   const auto& f = Crawl();
   GeoIpDb geo(f.framework->geo_plan().ranges());
-  auto legacy = CountriesContacted(*f.result.native_flows, geo);
+  auto legacy = oracle::CountriesContacted(*f.result.native_flows, geo);
   auto indexed = CountriesContacted(*f.result.native_index, geo);
   ASSERT_EQ(indexed.size(), legacy.size());
   for (size_t i = 0; i < legacy.size(); ++i) {
@@ -279,7 +280,8 @@ TEST(FlowIndexAnalyzers, GeoMatchesLegacy) {
   }
 
   std::vector<std::string> hosts = f.result.native_index->SortedHosts();
-  auto legacy_transfers = ClassifyTransfers(*f.result.native_flows, hosts, geo);
+  auto legacy_transfers =
+      oracle::ClassifyTransfers(*f.result.native_flows, hosts, geo);
   auto indexed_transfers =
       ClassifyTransfers(*f.result.native_index, hosts, geo);
   ASSERT_EQ(indexed_transfers.size(), legacy_transfers.size());
@@ -294,7 +296,8 @@ TEST(FlowIndexAnalyzers, GeoMatchesLegacy) {
 TEST(FlowIndexAnalyzers, DnsRefererAndSplitMatchLegacy) {
   const auto& f = Crawl();
 
-  auto legacy_dns = AnalyzeDnsLeakage(*f.result.native_flows, f.site_hosts);
+  auto legacy_dns =
+      oracle::AnalyzeDnsLeakage(*f.result.native_flows, f.site_hosts);
   auto indexed_dns = AnalyzeDnsLeakage(*f.result.native_index, f.site_hosts);
   EXPECT_EQ(indexed_dns.uses_doh, legacy_dns.uses_doh);
   EXPECT_EQ(indexed_dns.provider_host, legacy_dns.provider_host);
@@ -302,7 +305,7 @@ TEST(FlowIndexAnalyzers, DnsRefererAndSplitMatchLegacy) {
   EXPECT_EQ(indexed_dns.domains_leaked, legacy_dns.domains_leaked);
   EXPECT_EQ(indexed_dns.visited_site_lookups, legacy_dns.visited_site_lookups);
 
-  auto legacy_ref = AnalyzeRefererLeakage(*f.result.engine_flows);
+  auto legacy_ref = oracle::AnalyzeRefererLeakage(*f.result.engine_flows);
   auto indexed_ref =
       AnalyzeRefererLeakage(*f.result.engine_flows, *f.result.engine_index);
   EXPECT_EQ(indexed_ref.engine_requests, legacy_ref.engine_requests);
@@ -317,8 +320,8 @@ TEST(FlowIndexAnalyzers, DnsRefererAndSplitMatchLegacy) {
   }
 
   NaiveSplitter splitter(f.site_hosts);
-  auto legacy_split =
-      splitter.Evaluate(*f.result.engine_flows, *f.result.native_flows);
+  auto legacy_split = oracle::EvaluateSplit(splitter, *f.result.engine_flows,
+                                            *f.result.native_flows);
   auto indexed_split =
       splitter.Evaluate(*f.result.engine_index, *f.result.native_index);
   EXPECT_EQ(indexed_split.total, legacy_split.total);
@@ -329,13 +332,13 @@ TEST(FlowIndexAnalyzers, DnsRefererAndSplitMatchLegacy) {
 }
 
 // A size mismatch means the caller paired an index with the wrong
-// store; analyzers that read store data by flow id must fall back to
-// the legacy scan instead of indexing out of bounds.
+// store; analyzers that read store data by flow id must build a fresh
+// index instead of indexing out of bounds.
 TEST(FlowIndexAnalyzers, MismatchedStoreFallsBackToLegacyScan) {
   const auto& f = Crawl();
   FlowIndex empty_index;
   HistoryLeakDetector detector(f.visited);
-  auto legacy = detector.Scan(*f.result.native_flows);
+  auto legacy = oracle::ScanHistory(detector, *f.result.native_flows);
   auto fallback = detector.Scan(*f.result.native_flows, empty_index);
   ASSERT_EQ(fallback.size(), legacy.size());
   for (size_t i = 0; i < legacy.size(); ++i) {
@@ -343,7 +346,7 @@ TEST(FlowIndexAnalyzers, MismatchedStoreFallsBackToLegacyScan) {
     EXPECT_EQ(fallback[i].report_count, legacy[i].report_count);
   }
 
-  auto ref_legacy = AnalyzeRefererLeakage(*f.result.engine_flows);
+  auto ref_legacy = oracle::AnalyzeRefererLeakage(*f.result.engine_flows);
   auto ref_fallback = AnalyzeRefererLeakage(*f.result.engine_flows,
                                             empty_index);
   EXPECT_EQ(ref_fallback.engine_requests, ref_legacy.engine_requests);

@@ -2,6 +2,7 @@
 // values must be found; randomised clean traffic must never trigger.
 #include <gtest/gtest.h>
 
+#include "analysis/flow_index.h"
 #include "analysis/pii.h"
 #include "util/base64.h"
 #include "util/json.h"
@@ -55,6 +56,14 @@ std::vector<Embedding> CandidateEmbeddings(
 class PiiFuzz : public ::testing::TestWithParam<int> {
  protected:
   PiiFuzz() : scanner_(device::DeviceProfile::PaperTestbed()) {}
+
+  // Scans one flow the way a capture is scanned: through its index.
+  PiiReport ScanOne(const proxy::Flow& flow) const {
+    proxy::FlowStore store;
+    store.Add(flow);
+    return scanner_.Scan(FlowIndex::Build(store));
+  }
+
   PiiScanner scanner_;
 };
 
@@ -74,8 +83,7 @@ TEST_P(PiiFuzz, EmbeddedFieldsAreFound) {
     flow.url.AddQueryParam(rng.NextToken(5), rng.NextToken(7));
   }
 
-  PiiReport report;
-  scanner_.ScanFlow(flow, report);
+  PiiReport report = ScanOne(flow);
   for (size_t i = 0; i < take; ++i) {
     EXPECT_TRUE(report.Leaks(embeddings[i].field))
         << "missed " << PiiFieldName(embeddings[i].field) << " as "
@@ -96,8 +104,7 @@ TEST_P(PiiFuzz, JsonBodiesAreFoundToo) {
   flow.url = net::Url::MustParse("https://vendor.example/collect");
   flow.request_body = util::Json(std::move(body)).Dump();
 
-  PiiReport report;
-  scanner_.ScanFlow(flow, report);
+  PiiReport report = ScanOne(flow);
   EXPECT_TRUE(report.Leaks(chosen.field))
       << PiiFieldName(chosen.field) << " in body " << flow.request_body;
 }
@@ -113,8 +120,7 @@ TEST_P(PiiFuzz, RandomCleanTrafficNeverTriggers) {
     flow.url.AddQueryParam(rng.NextToken(6), rng.NextToken(10));
     flow.url.AddQueryParam(rng.NextToken(4), std::to_string(rng.NextBelow(100000)));
   }
-  PiiReport report;
-  scanner_.ScanFlow(flow, report);
+  PiiReport report = ScanOne(flow);
   EXPECT_EQ(report.LeakCount(), 0u)
       << "false positive on " << flow.url.Serialize();
 }

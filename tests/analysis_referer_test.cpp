@@ -6,6 +6,7 @@
 #include "browser/profiles.h"
 #include "core/campaign.h"
 #include "core/framework.h"
+#include "oracle/oracle.h"
 
 namespace panoptes::analysis {
 namespace {
@@ -32,7 +33,7 @@ TEST(RefererLeakage, ClassifiesCrossSiteOnly) {
   // Malformed referer: ignored.
   store.Add(EngineFlow("https://cdn.jsdelivr.net/lib.js", "not a url"));
 
-  auto report = AnalyzeRefererLeakage(store);
+  auto report = AnalyzeRefererLeakage(store, FlowIndex::Build(store));
   EXPECT_EQ(report.engine_requests, 5u);
   EXPECT_EQ(report.leaking_requests, 2u);
   ASSERT_EQ(report.leaks.size(), 1u);
@@ -42,11 +43,11 @@ TEST(RefererLeakage, ClassifiesCrossSiteOnly) {
   EXPECT_NEAR(report.LeakFraction(), 0.4, 1e-12);
 }
 
-// The store-scan and indexed paths must classify identically on the
-// hosts where PSL helpers are easiest to get wrong: IP literals, bare
-// public-suffix hosts, trailing-dot spellings, single labels and
-// unknown TLDs. Differential: run both overloads on the same store and
-// compare the complete reports.
+// The analyzer and the reference store scan (tests/oracle) must
+// classify identically on the hosts where PSL helpers are easiest to
+// get wrong: IP literals, bare public-suffix hosts, trailing-dot
+// spellings, single labels and unknown TLDs. Differential: run both on
+// the same store and compare the complete reports.
 TEST(RefererLeakage, StoreScanAndIndexedPathsAgreeOnEdgeHosts) {
   proxy::FlowStore store;
   // IP-literal destination, same and different referring IPs.
@@ -69,7 +70,7 @@ TEST(RefererLeakage, StoreScanAndIndexedPathsAgreeOnEdgeHosts) {
   store.Add(EngineFlow("https://ads.example.net/bid", "https://shop.com/"));
   store.Add(EngineFlow("https://ads.example.net/bid", "https://news.org/"));
 
-  auto legacy = AnalyzeRefererLeakage(store);
+  auto legacy = oracle::AnalyzeRefererLeakage(store);
   FlowIndex index = FlowIndex::Build(store);
   auto indexed = AnalyzeRefererLeakage(store, index);
 
@@ -92,7 +93,7 @@ TEST(RefererLeakage, StoreScanAndIndexedPathsAgreeOnEdgeHosts) {
 
 TEST(RefererLeakage, EmptyStore) {
   proxy::FlowStore store;
-  auto report = AnalyzeRefererLeakage(store);
+  auto report = AnalyzeRefererLeakage(store, FlowIndex());
   EXPECT_EQ(report.LeakFraction(), 0);
   EXPECT_TRUE(report.leaks.empty());
 }
@@ -114,7 +115,8 @@ TEST(RefererLeakage, RealCrawlShowsTheEngineChannel) {
   framework.taint_addon().SetStores(nullptr, nullptr);
   framework.TeardownBrowser();
 
-  auto report = AnalyzeRefererLeakage(engine_store);
+  auto report =
+      AnalyzeRefererLeakage(engine_store, FlowIndex::Build(engine_store));
   // Generated sites embed third parties, and every subresource fetch
   // carries a Referer — the classic engine-side channel is visible.
   EXPECT_GT(report.leaking_requests, 0u);

@@ -2,6 +2,7 @@
 // detector, GeoIP, report rendering.
 #include <gtest/gtest.h>
 
+#include "analysis/flow_index.h"
 #include "analysis/geoip.h"
 #include "analysis/historyleak.h"
 #include "analysis/hostslist.h"
@@ -65,7 +66,7 @@ TEST_F(PiiTest, DetectsQueryParamFields) {
   store.Add(FlowTo(
       "https://v.example/t?devtype=TABLET&manuf=Samsung&res=1200x1920"
       "&dpi=240&locale=el-GR&net=WIFI&tz=Europe%2FAthens"));
-  auto report = scanner_.Scan(store);
+  auto report = scanner_.Scan(FlowIndex::Build(store));
   EXPECT_TRUE(report.Leaks(PiiField::kDeviceType));
   EXPECT_TRUE(report.Leaks(PiiField::kManufacturer));
   EXPECT_TRUE(report.Leaks(PiiField::kResolution));
@@ -91,7 +92,7 @@ TEST_F(PiiTest, DetectsJsonBodyFields) {
   body["deviceScreenHeight"] = 1920;
   store.Add(FlowTo("https://v.example/collect",
                    util::Json(std::move(body)).Dump()));
-  auto report = scanner_.Scan(store);
+  auto report = scanner_.Scan(FlowIndex::Build(store));
   EXPECT_TRUE(report.Leaks(PiiField::kLocalIp));
   EXPECT_TRUE(report.Leaks(PiiField::kRooted));
   EXPECT_TRUE(report.Leaks(PiiField::kCountry));
@@ -110,7 +111,7 @@ TEST_F(PiiTest, DetectsBase64WrappedValues) {
   proxy::FlowStore direct;
   direct.Add(FlowTo("https://v.example/t?enc=" +
                     util::Base64Encode("Europe/Athens")));
-  auto report = scanner_.Scan(direct);
+  auto report = scanner_.Scan(FlowIndex::Build(direct));
   EXPECT_TRUE(report.Leaks(PiiField::kTimezone));
 }
 
@@ -122,7 +123,7 @@ TEST_F(PiiTest, NoFalsePositivesOnCleanTraffic) {
   store.Add(FlowTo("https://clean.example/x?grade=GR"));
   // "240" without a dpi-ish key must not trigger.
   store.Add(FlowTo("https://clean.example/x?width=240"));
-  auto report = scanner_.Scan(store);
+  auto report = scanner_.Scan(FlowIndex::Build(store));
   EXPECT_EQ(report.LeakCount(), 0u);
 }
 
@@ -130,7 +131,7 @@ TEST_F(PiiTest, EvidenceDeduplicatedPerFieldHost) {
   proxy::FlowStore store;
   store.Add(FlowTo("https://v.example/a?manuf=Samsung"));
   store.Add(FlowTo("https://v.example/b?manuf=Samsung"));
-  auto report = scanner_.Scan(store);
+  auto report = scanner_.Scan(FlowIndex::Build(store));
   EXPECT_EQ(report.evidence.size(), 1u);
 }
 
@@ -144,7 +145,7 @@ TEST_F(PiiTest, LongValuesSharingAPrefixAreDistinctEvidence) {
   store.Add(FlowTo("https://v.example/b?lat=" + shared_prefix + "BBBB"));
   // And the first payload again: deduplicated against itself.
   store.Add(FlowTo("https://v.example/c?lat=" + shared_prefix + "AAAA"));
-  auto report = scanner_.Scan(store);
+  auto report = scanner_.Scan(FlowIndex::Build(store));
   EXPECT_TRUE(report.Leaks(PiiField::kLocation));
   ASSERT_EQ(report.evidence.size(), 2u);
   // Identical truncated samples, distinct hashes.
@@ -157,7 +158,7 @@ TEST_F(PiiTest, DistinctShortValuesAreDistinctEvidence) {
   store.Add(FlowTo("https://v.example/a?rooted=true"));
   store.Add(FlowTo("https://v.example/b?rooted=false"));
   store.Add(FlowTo("https://v.example/c?rooted=true"));
-  auto report = scanner_.Scan(store);
+  auto report = scanner_.Scan(FlowIndex::Build(store));
   EXPECT_TRUE(report.Leaks(PiiField::kRooted));
   EXPECT_EQ(report.evidence.size(), 2u);
 }
@@ -170,7 +171,7 @@ TEST_F(PiiTest, SampleTruncationRespectsUtf8Boundaries) {
   ASSERT_EQ(value.size(), 81u);
   proxy::FlowStore store;
   store.Add(FlowTo("https://v.example/a?lat=" + value));
-  auto report = scanner_.Scan(store);
+  auto report = scanner_.Scan(FlowIndex::Build(store));
   ASSERT_EQ(report.evidence.size(), 1u);
   EXPECT_EQ(report.evidence[0].sample,
             "lat=" + value.substr(0, 79));
@@ -197,7 +198,7 @@ TEST_F(LeakTest, FullUrlPlainInBody) {
   proxy::FlowStore store;
   store.Add(FlowTo("https://wup.browser.qq.com/phone_home",
                    "{\"url\":\"https://mentalcare42.org/\"}"));
-  auto findings = detector_.Scan(store);
+  auto findings = detector_.Scan(store, FlowIndex::Build(store));
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].granularity, LeakGranularity::kFullUrl);
   EXPECT_EQ(findings[0].encoding, "plain");
@@ -211,7 +212,7 @@ TEST_F(LeakTest, FullUrlBase64InQuery) {
   flow.url.AddQueryParam(
       "url", util::Base64Encode("https://mentalcare42.org/"));
   store.Add(flow);
-  auto findings = detector_.Scan(store);
+  auto findings = detector_.Scan(store, FlowIndex::Build(store));
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].granularity, LeakGranularity::kFullUrl);
   EXPECT_EQ(findings[0].encoding, "base64");
@@ -223,7 +224,7 @@ TEST_F(LeakTest, HostOnlyDetectedSeparately) {
   flow.url = net::Url::MustParse("https://www.bing.com/api/v1/visited");
   flow.url.AddQueryParam("domain", "mentalcare42.org");
   store.Add(flow);
-  auto findings = detector_.Scan(store);
+  auto findings = detector_.Scan(store, FlowIndex::Build(store));
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].granularity, LeakGranularity::kHostOnly);
 }
@@ -235,7 +236,7 @@ TEST_F(LeakTest, PersistentIdentifierFlagged) {
   flow.url.AddQueryParam("uuid", "3f2b9a64-5e1c-4d7a-9b0e-2f6c8d1a7e43");
   flow.url.AddQueryParam("host", "mentalcare42.org");
   store.Add(flow);
-  auto findings = detector_.Scan(store);
+  auto findings = detector_.Scan(store, FlowIndex::Build(store));
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_TRUE(findings[0].persistent_identifier);
   EXPECT_EQ(findings[0].identifier_sample,
@@ -246,14 +247,14 @@ TEST_F(LeakTest, VisitedSitesThemselvesAreNotLeaks) {
   proxy::FlowStore store;
   store.Add(FlowTo("https://mentalcare42.org/page"));
   store.Add(FlowTo("https://shop.example.com/?ref=https://mentalcare42.org/"));
-  auto findings = detector_.Scan(store);
+  auto findings = detector_.Scan(store, FlowIndex::Build(store));
   EXPECT_TRUE(findings.empty());  // both destinations are visited sites
 }
 
 TEST_F(LeakTest, CleanTrafficNoFindings) {
   proxy::FlowStore store;
   store.Add(FlowTo("https://update.vendor.com/check?v=1.2.3"));
-  EXPECT_TRUE(detector_.Scan(store).empty());
+  EXPECT_TRUE(detector_.Scan(store, FlowIndex::Build(store)).empty());
 }
 
 TEST_F(LeakTest, EngineStoreMarksInjection) {
@@ -262,7 +263,8 @@ TEST_F(LeakTest, EngineStoreMarksInjection) {
   flow.url = net::Url::MustParse("https://u.ucweb.com/collect");
   flow.url.AddQueryParam("pv", "https://mentalcare42.org/");
   store.Add(flow);
-  auto findings = detector_.Scan(store, /*engine_store=*/true);
+  auto findings = detector_.Scan(store, FlowIndex::Build(store),
+                                 /*engine_store=*/true);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_TRUE(findings[0].via_engine_injection);
 }
@@ -307,7 +309,7 @@ TEST(GeoIp, CountriesContactedGroupsAndSorts) {
   gr.server_ip = net::IpAddress(94, 66, 0, 1);
   store.Add(gr);
 
-  auto countries = CountriesContacted(store, db);
+  auto countries = CountriesContacted(FlowIndex::Build(store), db);
   ASSERT_EQ(countries.size(), 2u);
   EXPECT_EQ(countries[0].country_code, "RU");
   EXPECT_EQ(countries[0].flows, 3u);
@@ -325,8 +327,8 @@ TEST(GeoIp, ClassifyTransfers) {
   flow.server_ip = net::IpAddress(77, 88, 0, 1);
   store.Add(flow);
 
-  auto transfers =
-      ClassifyTransfers(store, {"sba.yandex.net", "not-contacted.com"}, db);
+  auto transfers = ClassifyTransfers(
+      FlowIndex::Build(store), {"sba.yandex.net", "not-contacted.com"}, db);
   ASSERT_EQ(transfers.size(), 1u);
   EXPECT_EQ(transfers[0].country_name, "Russia");
   EXPECT_TRUE(transfers[0].outside_eu);

@@ -13,12 +13,16 @@
 #include <vector>
 
 #include "analysis/export.h"
+#include "analysis/flow_index.h"
 #include "browser/profiles.h"
 #include "chaos/profile.h"
 #include "core/fleet.h"
 #include "core/result_cache.h"
 #include "core/run_manifest.h"
 #include "core/snapshot.h"
+#include "net/url.h"
+#include "proxy/flowstore.h"
+#include "util/binio.h"
 
 namespace panoptes {
 namespace {
@@ -104,6 +108,71 @@ TEST(Snapshot, RejectsCorruptionAndForeignBytes) {
   }
   // Trailing garbage is corruption, not a longer snapshot.
   EXPECT_FALSE(core::snapshot::Read(bytes + "x", jobs[0], &restored));
+
+  // Pre-v6 store layouts and a missing index are corruption too: a
+  // store starting 0x00/0x01 (the v2 layout) or 0xF3 (v3), and an index
+  // presence byte of 0 (every result carries its indexes). The decoder
+  // returns null and the cache counts an invalidation.
+  util::BinWriter store_out;
+  results[0].crawl->engine_flows->SerializeTo(store_out);
+  const std::string store_bytes = store_out.Take();
+  const size_t store_at = bytes.find(store_bytes);
+  ASSERT_NE(store_at, std::string::npos);
+  const size_t index_flag_at = store_at + store_bytes.size();
+  ASSERT_EQ(bytes[index_flag_at], '\x01');
+  core::ResultCache cache(ScratchDir("reject"));
+  uint64_t invalidated = 0;
+  auto expect_rejected = [&](size_t at, char byte) {
+    std::string bad = bytes;
+    bad[at] = byte;
+    EXPECT_FALSE(core::snapshot::Read(bad, jobs[0], &restored)) << at;
+    std::ofstream(cache.PathFor(jobs[0]), std::ios::binary) << bad;
+    EXPECT_FALSE(cache.Load(jobs[0], 1, /*skip_quarantined=*/false));
+    EXPECT_EQ(cache.Stats().invalidated, ++invalidated);
+  };
+  for (char tag : {'\x00', '\x01', '\xF3'}) {
+    std::string old_store = store_bytes;
+    old_store[0] = tag;
+    util::BinReader in(old_store);
+    EXPECT_EQ(proxy::FlowStore::Deserialize(in), nullptr) << int(tag);
+    expect_rejected(store_at, tag);
+  }
+  expect_rejected(index_flag_at, '\x00');
+
+  // A v6 snapshot still decodes: its stores carry the v4 tag and
+  // records without the trailing redirect fields, which are the last
+  // 12 bytes of a one-record stream.
+  core::FleetJobResult v6_result;
+  v6_result.job = jobs[0];
+  v6_result.crawl.emplace();
+  core::CrawlResult& crawl = *v6_result.crawl;
+  for (auto* store : {&crawl.engine_flows, &crawl.native_flows}) {
+    proxy::Flow flow;
+    flow.url = net::Url::MustParse("https://legacy.example/x?q=1");
+    *store = std::make_unique<proxy::FlowStore>();
+    (*store)->Add(flow);
+  }
+  crawl.engine_index = std::make_shared<const analysis::FlowIndex>(
+      analysis::FlowIndex::Build(*crawl.engine_flows));
+  crawl.native_index = std::make_shared<const analysis::FlowIndex>(
+      analysis::FlowIndex::Build(*crawl.native_flows));
+  std::string v6 = core::snapshot::Write(v6_result, 1);
+  for (const auto* store : {&crawl.engine_flows, &crawl.native_flows}) {
+    util::BinWriter out;
+    (*store)->SerializeTo(out);
+    const std::string v5_store = out.Take();
+    std::string v4_store = v5_store.substr(0, v5_store.size() - 12);
+    v4_store[0] = '\xF4';
+    const size_t at = v6.find(v5_store);
+    ASSERT_NE(at, std::string::npos);
+    v6.replace(at, v5_store.size(), v4_store);
+  }
+  v6[core::snapshot::kMagic.size()] = 6;  // little-endian schema version
+  ASSERT_EQ(core::snapshot::PeekHeader(v6)->schema, 6u);
+  ASSERT_TRUE(core::snapshot::Read(v6, jobs[0], &restored));
+  ASSERT_EQ(restored.crawl->native_flows->size(), 1u);
+  EXPECT_EQ(restored.crawl->native_flows->flow(0).url.Serialize(),
+            "https://legacy.example/x?q=1");
 }
 
 TEST(ResultCache, WarmRunIsAllHitsAndByteIdentical) {

@@ -503,6 +503,8 @@ TEST(SnapshotV5, IngestAndWatchdogRoundTrip) {
   result.crawl->browser = "Yandex";
   result.crawl->engine_flows = std::make_unique<proxy::FlowStore>(true);
   result.crawl->native_flows = std::make_unique<proxy::FlowStore>();
+  result.crawl->engine_index = std::make_shared<const analysis::FlowIndex>();
+  result.crawl->native_index = std::make_shared<const analysis::FlowIndex>();
   result.crawl->ingest.flows_pushed = 12;
   result.crawl->ingest.flows_shed = 3;
   result.crawl->ingest.spill_segments = 2;

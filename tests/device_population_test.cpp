@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/flow_index.h"
 #include "analysis/pii.h"
 #include "browser/profiles.h"
 #include "core/fleet.h"
@@ -261,12 +262,12 @@ TEST(Population, ScannerDetectsTheCampaignDeviceNotTheTestbed) {
   testbed_values.Add(FlowTo("https://v.example/t?tz=Europe/Athens"));
 
   analysis::PiiScanner scanner(device);
-  auto own = scanner.Scan(cohort_values);
+  auto own = scanner.Scan(analysis::FlowIndex::Build(cohort_values));
   EXPECT_TRUE(own.Leaks(analysis::PiiField::kResolution));
   EXPECT_TRUE(own.Leaks(analysis::PiiField::kDpi));
   EXPECT_TRUE(own.Leaks(analysis::PiiField::kTimezone));
 
-  auto foreign = scanner.Scan(testbed_values);
+  auto foreign = scanner.Scan(analysis::FlowIndex::Build(testbed_values));
   EXPECT_FALSE(foreign.Leaks(analysis::PiiField::kResolution));
   EXPECT_FALSE(foreign.Leaks(analysis::PiiField::kDpi));
   EXPECT_FALSE(foreign.Leaks(analysis::PiiField::kTimezone));
@@ -293,17 +294,19 @@ TEST(Population, NegativeCoordinatesRoundTrip) {
   store.Add(FlowTo("https://v.example/t?lat=" +
                    util::FormatDouble(nyc.latitude, 4) +
                    "&lon=" + util::FormatDouble(nyc.longitude, 4)));
-  auto report = scanner.Scan(store);
+  auto report = scanner.Scan(analysis::FlowIndex::Build(store));
   EXPECT_TRUE(report.Leaks(analysis::PiiField::kLocation));
 
   // Longitude alone — the sign must survive the prefix needle.
   proxy::FlowStore lon_only;
   lon_only.Add(FlowTo("https://v.example/t?lon=-74.0060"));
-  EXPECT_TRUE(scanner.Scan(lon_only).Leaks(analysis::PiiField::kLocation));
+  EXPECT_TRUE(scanner.Scan(analysis::FlowIndex::Build(lon_only))
+                  .Leaks(analysis::PiiField::kLocation));
   // The positive mirror of the value is a different place.
   proxy::FlowStore wrong_sign;
   wrong_sign.Add(FlowTo("https://v.example/t?lon=74.0060"));
-  EXPECT_FALSE(scanner.Scan(wrong_sign).Leaks(analysis::PiiField::kLocation));
+  EXPECT_FALSE(scanner.Scan(analysis::FlowIndex::Build(wrong_sign))
+                  .Leaks(analysis::PiiField::kLocation));
 }
 
 // The rounding bug itself: latitude 35.3387 as the emitters render it
@@ -314,7 +317,8 @@ TEST(Population, TestbedLatitudeMatchesItsOwnScanner) {
   analysis::PiiScanner scanner(DeviceProfile::PaperTestbed());
   proxy::FlowStore store;
   store.Add(FlowTo("https://v.example/t?lat=35.3387"));
-  EXPECT_TRUE(scanner.Scan(store).Leaks(analysis::PiiField::kLocation));
+  EXPECT_TRUE(scanner.Scan(analysis::FlowIndex::Build(store))
+                  .Leaks(analysis::PiiField::kLocation));
 }
 
 }  // namespace

@@ -60,8 +60,8 @@ TEST(TrafficStatsRegistry, DeviceLedgerMatchesProxyCapture) {
   ASSERT_NE(app, nullptr);
   auto ledger = framework.netstack().traffic_stats().ForUid(app->uid);
 
-  uint64_t proxy_tx =
-      result.engine_flows->RequestBytes() + result.native_flows->RequestBytes();
+  uint64_t proxy_tx = result.engine_index->request_bytes_total() +
+                     result.native_index->request_bytes_total();
   uint64_t proxy_flows =
       result.engine_flows->size() + result.native_flows->size();
 

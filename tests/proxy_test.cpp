@@ -1,6 +1,7 @@
 // MITM proxy + flow store tests.
 #include <gtest/gtest.h>
 
+#include "analysis/flow_index.h"
 #include "net/fabric.h"
 #include "proxy/flowstore.h"
 #include "proxy/mitm.h"
@@ -29,7 +30,7 @@ TEST(FlowStore, CountsAndBytes) {
   store.Add(MakeFlow("https://b.com/y", 50, 70));
   EXPECT_EQ(store.size(), 2u);
   EXPECT_EQ(store.TotalBytes(), 420u);
-  EXPECT_EQ(store.RequestBytes(), 150u);
+  EXPECT_EQ(analysis::FlowIndex::Build(store).request_bytes_total(), 150u);
   store.Clear();
   EXPECT_TRUE(store.empty());
 }
@@ -40,7 +41,7 @@ TEST(FlowStore, DistinctHostsAndDomains) {
   store.Add(MakeFlow("https://a.x.com/2"));
   store.Add(MakeFlow("https://b.x.com/3"));
   store.Add(MakeFlow("https://c.org/4"));
-  EXPECT_EQ(store.DistinctHosts().size(), 3u);
+  EXPECT_EQ(analysis::FlowIndex::Build(store).hosts().size(), 3u);
   auto domains = store.DistinctDomains();
   EXPECT_EQ(domains.size(), 2u);
   EXPECT_TRUE(domains.count("x.com"));
