@@ -298,9 +298,10 @@ std::string FleetReportJson(
         return agg;
       }
     }
-    aggregates.push_back(
-        PopulationAggregate{r.job.spec.name, std::move(campaign)});
-    return aggregates.back();
+    PopulationAggregate& agg = aggregates.emplace_back();
+    agg.browser = r.job.spec.name;
+    agg.campaign = std::move(campaign);
+    return agg;
   };
   util::JsonArray entries;
   for (size_t job_index = 0; job_index < results.size(); ++job_index) {
@@ -485,9 +486,10 @@ std::string UidSmugglingReportJson(
         return agg;
       }
     }
-    aggregates.push_back(
-        SmugglingAggregate{r.job.spec.name, std::move(campaign)});
-    return aggregates.back();
+    SmugglingAggregate& agg = aggregates.emplace_back();
+    agg.browser = r.job.spec.name;
+    agg.campaign = std::move(campaign);
+    return agg;
   };
 
   util::JsonArray entries;

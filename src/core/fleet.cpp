@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -97,6 +98,23 @@ bool JobFailed(const FleetJobResult& result) {
 }
 
 }  // namespace
+
+// The catalog every job of one run crawls. Built lazily, once, by the
+// first job that executes — an all-hits cache replay builds none — and
+// then shared read-only. Every job's framework options carry the same
+// catalog seed and options, so which worker builds it cannot change a
+// byte.
+class FleetExecutor::SharedWeb {
+ public:
+  std::shared_ptr<const web::SiteCatalog> Get(const FrameworkOptions& job) {
+    std::call_once(built_, [&] { catalog_ = GenerateCatalog(job); });
+    return catalog_;
+  }
+
+ private:
+  std::once_flag built_;
+  std::shared_ptr<const web::SiteCatalog> catalog_;
+};
 
 double FleetRunStats::JobLatencyQuantile(double q) const {
   if (job_seconds.empty()) return 0;
@@ -219,7 +237,8 @@ std::vector<FleetJob> FleetExecutor::PlanCampaign(
 }
 
 FleetJobResult FleetExecutor::ExecuteJob(const FleetJob& job, int attempt,
-                                         obs::Journal* journal) const {
+                                         obs::Journal* journal,
+                                         SharedWeb& web) const {
   obs::ScopedSpan span("fleet.job", "fleet");
   span.Arg("browser", job.spec.name);
   span.Arg("kind", CampaignKindName(job.kind));
@@ -236,8 +255,9 @@ FleetJobResult FleetExecutor::ExecuteJob(const FleetJob& job, int attempt,
   // The job's framework simulates the cohort's device — PII payloads,
   // cadence and endpoints all key off these traits.
   fw.device_profile = job.cohort.profile;
-  // All jobs crawl the same generated web; only the runtime streams
-  // (browser jitter, tokens, idle cadence) differ per job.
+  // All jobs crawl the same generated web (the run's SharedWeb); only
+  // the runtime streams (browser jitter, tokens, idle cadence) differ
+  // per job.
   if (!fw.catalog_seed.has_value()) fw.catalog_seed = options_.base_seed;
   out.seed = fw.seed;
   // Every capture layer of this job's private framework reports into
@@ -260,7 +280,7 @@ FleetJobResult FleetExecutor::ExecuteJob(const FleetJob& job, int attempt,
           .Str("device", job.cohort.profile.model);
     }
   }
-  Framework framework(fw);
+  Framework framework(fw, web.Get(fw));
 
   if (job.kind == CampaignKind::kIdle) {
     IdleOptions idle = job.idle;
@@ -303,9 +323,10 @@ FleetJobResult FleetExecutor::ExecuteJob(const FleetJob& job, int attempt,
 }
 
 FleetJobResult FleetExecutor::ExecuteJobWithRetry(const FleetJob& job,
-                                                  obs::Journal* journal) const {
+                                                  obs::Journal* journal,
+                                                  SharedWeb& web) const {
   for (int attempt = 0;; ++attempt) {
-    FleetJobResult result = ExecuteJob(job, attempt, journal);
+    FleetJobResult result = ExecuteJob(job, attempt, journal, web);
     result.attempts = attempt + 1;
     if (!JobFailed(result)) return result;
     if (attempt >= options_.max_job_retries) {
@@ -342,7 +363,8 @@ FleetJobResult FleetExecutor::ExecuteJobWithRetry(const FleetJob& job,
   }
 }
 
-FleetJobResult FleetExecutor::RunJobCached(const FleetJob& job) const {
+FleetJobResult FleetExecutor::RunJobCached(const FleetJob& job,
+                                           SharedWeb& web) const {
   // Per-job buffer: single-threaded within the job, merged in plan
   // order afterwards (MergeJournal) — the determinism contract.
   obs::Journal job_journal;
@@ -362,11 +384,11 @@ FleetJobResult FleetExecutor::RunJobCached(const FleetJob& job) const {
             .U64Hex("fingerprint", fingerprint);
       }
     } else {
-      result = ExecuteJobWithRetry(job, journal);
+      result = ExecuteJobWithRetry(job, journal, web);
       cache_->Store(result, fingerprint);
     }
   } else {
-    result = ExecuteJobWithRetry(job, journal);
+    result = ExecuteJobWithRetry(job, journal, web);
   }
   result.journal = std::move(job_journal);
   // After the store: by the time the callback observes N completions,
@@ -382,13 +404,14 @@ std::vector<FleetJobResult> FleetExecutor::RunSerial(
   run_span.Arg("jobs", static_cast<int64_t>(jobs.size()));
   int64_t run_start = util::SteadyNowNanos();
 
+  SharedWeb web;
   std::vector<FleetJobResult> results;
   results.reserve(jobs.size());
   std::vector<double> job_seconds;
   job_seconds.reserve(jobs.size());
   for (const auto& job : jobs) {
     int64_t start = util::SteadyNowNanos();
-    results.push_back(RunJobCached(job));
+    results.push_back(RunJobCached(job, web));
     double seconds =
         static_cast<double>(util::SteadyNowNanos() - start) * 1e-9;
     job_seconds.push_back(seconds);
@@ -435,6 +458,7 @@ std::vector<FleetJobResult> FleetExecutor::Run(
   // Workers claim job indices from a shared counter and write into
   // disjoint slots of `results`; job identity (not scheduling) decides
   // every seed, so the outcome is order-independent by construction.
+  SharedWeb web;
   std::atomic<size_t> next{0};
   auto work = [&](size_t worker) {
     while (true) {
@@ -444,7 +468,7 @@ std::vector<FleetJobResult> FleetExecutor::Run(
           static_cast<int64_t>(jobs.size() - index - 1));
       metrics.workers_busy.Add(1);
       int64_t start = util::SteadyNowNanos();
-      results[index] = RunJobCached(jobs[index]);
+      results[index] = RunJobCached(jobs[index], web);
       double seconds =
           static_cast<double>(util::SteadyNowNanos() - start) * 1e-9;
       job_seconds[index] = seconds;

@@ -5,10 +5,12 @@
 // between browsers. The executor shards that work into jobs — one per
 // (browser, campaign kind, site shard) — and runs them on a pool of
 // worker threads, each job owning a *private* Framework seeded from a
-// deterministically derived per-job seed. Because no two jobs touch the
-// same testbed, results are bit-identical to running the same job list
-// one at a time on a single thread, regardless of how the scheduler
-// interleaves workers. `RunSerial` is that reference path and the
+// deterministically derived per-job seed. The only thing jobs share is
+// the run's generated web: an immutable SiteCatalog built once, read
+// by every job. Because no two jobs touch the same mutable testbed,
+// results are bit-identical to running the same job list one at a time
+// on a single thread, regardless of how the scheduler interleaves
+// workers. `RunSerial` is that reference path and the
 // differential harness (tests/core_fleet_test.cpp) pins `Run` to it.
 #pragma once
 
@@ -210,16 +212,20 @@ class FleetExecutor {
                            obs::Journal* out);
 
  private:
+  // One run's generated web, built by the first job that executes.
+  class SharedWeb;
+
   FleetJobResult ExecuteJob(const FleetJob& job, int attempt,
-                            obs::Journal* journal) const;
+                            obs::Journal* journal, SharedWeb& web) const;
   // Runs the job, re-running with fresh attempt seeds while every
   // visit fails, up to options.max_job_retries; quarantines after.
   FleetJobResult ExecuteJobWithRetry(const FleetJob& job,
-                                     obs::Journal* journal) const;
+                                     obs::Journal* journal,
+                                     SharedWeb& web) const;
   // The cache-aware job path both Run and RunSerial go through: probe
   // the cache (when enabled), execute on a miss, persist the fresh
   // result, then fire options.on_job_complete.
-  FleetJobResult RunJobCached(const FleetJob& job) const;
+  FleetJobResult RunJobCached(const FleetJob& job, SharedWeb& web) const;
 
   FleetOptions options_;
   std::unique_ptr<ResultCache> cache_;

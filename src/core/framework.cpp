@@ -4,15 +4,22 @@
 
 namespace panoptes::core {
 
-Framework::Framework(FrameworkOptions options)
+std::shared_ptr<const web::SiteCatalog> GenerateCatalog(
+    const FrameworkOptions& options) {
+  return std::make_shared<const web::SiteCatalog>(web::SiteCatalog::Generate(
+      options.catalog_seed.value_or(options.seed), options.catalog));
+}
+
+Framework::Framework(FrameworkOptions options,
+                     std::shared_ptr<const web::SiteCatalog> catalog)
     : options_(options),
+      catalog_(catalog != nullptr ? std::move(catalog)
+                                  : GenerateCatalog(options)),
       network_(options.seed ^ 0xFAB51Cull),
       geo_plan_(vendors::GeoPlan::Default()),
       device_(options.device_profile),
       netstack_(&device_, &network_, &clock_) {
   // The generated web.
-  catalog_ = web::SiteCatalog::Generate(
-      options_.catalog_seed.value_or(options_.seed), options_.catalog);
   std::vector<net::IpAllocator> origin_blocks = {
       geo_plan_.Allocator("US-HOSTING"),
       geo_plan_.Allocator("DE-HOSTING"),
@@ -20,7 +27,7 @@ Framework::Framework(FrameworkOptions options)
   };
   // Note: copies of the allocators are fine here — origin installation
   // happens once, and the geo ranges (not offsets) drive geolocation.
-  web::InstallWeb(catalog_, network_, origin_blocks,
+  web::InstallWeb(*catalog_, network_, origin_blocks,
                   geo_plan_.Allocator("US-ADTECH"));
 
   // The vendor backends.

@@ -69,9 +69,18 @@ struct FrameworkOptions {
   obs::Journal* journal = nullptr;
 };
 
+// The generated web a framework with `options` crawls:
+// SiteCatalog::Generate(catalog_seed.value_or(seed), catalog).
+std::shared_ptr<const web::SiteCatalog> GenerateCatalog(
+    const FrameworkOptions& options);
+
 class Framework {
  public:
-  explicit Framework(FrameworkOptions options = {});
+  // Builds the testbed on `catalog` when given: a fleet run shares one
+  // read-only catalog across its jobs, which must equal
+  // GenerateCatalog(options). Otherwise the framework generates its own.
+  explicit Framework(FrameworkOptions options = {},
+                     std::shared_ptr<const web::SiteCatalog> catalog = nullptr);
 
   Framework(const Framework&) = delete;
   Framework& operator=(const Framework&) = delete;
@@ -79,7 +88,7 @@ class Framework {
   const FrameworkOptions& options() const { return options_; }
   util::SimClock& clock() { return clock_; }
   net::Network& network() { return network_; }
-  const web::SiteCatalog& catalog() const { return catalog_; }
+  const web::SiteCatalog& catalog() const { return *catalog_; }
   vendors::GeoPlan& geo_plan() { return geo_plan_; }
   vendors::VendorWorld& vendor_world() { return vendor_world_; }
   device::AndroidDevice& device() { return device_; }
@@ -107,10 +116,11 @@ class Framework {
   FrameworkOptions options_;
   util::SimClock clock_;
   std::unique_ptr<chaos::Injector> chaos_;
+  // Declared before network_: the origin servers borrow its sites.
+  std::shared_ptr<const web::SiteCatalog> catalog_;
   net::Network network_;
   vendors::GeoPlan geo_plan_;
   vendors::VendorWorld vendor_world_;
-  web::SiteCatalog catalog_;
   device::AndroidDevice device_;
   device::NetworkStack netstack_;
   std::unique_ptr<proxy::MitmProxy> proxy_;

@@ -46,7 +46,7 @@ std::string HttpRequest::Summary() const {
 size_t HttpResponse::WireSize() const {
   // "HTTP/1.1 200 OK\r\n" + headers + blank line + body.
   return 9 + 4 + StatusReason(status).size() + 2 + headers.WireSize() + 2 +
-         body.size();
+         body.size() + filler_bytes;
 }
 
 HttpResponse HttpResponse::Ok(std::string body,
@@ -56,6 +56,16 @@ HttpResponse HttpResponse::Ok(std::string body,
   resp.headers.Set("Content-Type", content_type);
   resp.headers.Set("Content-Length", std::to_string(body.size()));
   resp.body = std::move(body);
+  return resp;
+}
+
+HttpResponse HttpResponse::Filler(size_t size,
+                                  std::string_view content_type) {
+  HttpResponse resp;
+  resp.status = 200;
+  resp.headers.Set("Content-Type", content_type);
+  resp.headers.Set("Content-Length", std::to_string(size));
+  resp.filler_bytes = size;
   return resp;
 }
 

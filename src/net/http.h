@@ -40,11 +40,18 @@ struct HttpResponse {
   int status = 200;
   HttpHeaders headers;
   std::string body;
+  // Synthetic payload bytes that follow `body` on the wire but are never
+  // materialized: generated subresources exist only for their size.
+  // Counted by WireSize() and Content-Length; FormatResponse writes them
+  // out as padding.
+  size_t filler_bytes = 0;
 
   size_t WireSize() const;
 
   static HttpResponse Ok(std::string body,
                          std::string_view content_type = "text/html");
+  // 200 with a `size`-byte sized body (filler_bytes) and no buffer.
+  static HttpResponse Filler(size_t size, std::string_view content_type);
   static HttpResponse Json(std::string body);
   static HttpResponse NotFound();
   static HttpResponse Error(int status, std::string_view reason);

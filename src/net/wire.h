@@ -17,7 +17,8 @@ namespace panoptes::net {
 // The Host header is derived from the URL when not already present.
 std::string FormatRequest(const HttpRequest& request);
 
-// "HTTP/1.1 200 OK\r\n...\r\n\r\n<body>".
+// "HTTP/1.1 200 OK\r\n...\r\n\r\n<body>". A sized body
+// (HttpResponse::filler_bytes) renders as that many '.' after `body`.
 std::string FormatResponse(const HttpResponse& response);
 
 // Parses one complete request. The URL is reassembled from the request

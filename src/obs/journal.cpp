@@ -11,20 +11,7 @@ namespace {
 // Appends `value` quoted and escaped without building temporaries.
 void AppendQuoted(std::string& out, std::string_view value) {
   out.push_back('"');
-  // Fast path: most values (hosts, methods, browser names) need no
-  // escaping at all.
-  bool clean = true;
-  for (char c : value) {
-    if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) {
-      clean = false;
-      break;
-    }
-  }
-  if (clean) {
-    out.append(value);
-  } else {
-    out.append(util::JsonEscape(value));
-  }
+  util::JsonEscapeTo(value, out);
   out.push_back('"');
 }
 

@@ -40,7 +40,7 @@ void DumpTo(const Json& v, std::string& out) {
     DumpNumber(v.as_number(), out);
   } else if (v.is_string()) {
     out += '"';
-    out += JsonEscape(v.as_string());
+    JsonEscapeTo(v.as_string(), out);
     out += '"';
   } else if (v.is_array()) {
     out += '[';
@@ -58,7 +58,7 @@ void DumpTo(const Json& v, std::string& out) {
       if (!first) out += ',';
       first = false;
       out += '"';
-      out += JsonEscape(key);
+      JsonEscapeTo(key, out);
       out += "\":";
       DumpTo(value, out);
     }
@@ -261,10 +261,13 @@ std::optional<Json> Json::Parse(std::string_view text) {
   return Parser(text).ParseDocument();
 }
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (unsigned char c : s) {
+void JsonEscapeTo(std::string_view s, std::string& out) {
+  size_t run = 0;  // start of the pending escape-free run
+  for (size_t i = 0; i < s.size(); ++i) {
+    unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.substr(run, i - run));
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -273,17 +276,14 @@ std::string JsonEscape(std::string_view s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          std::array<char, 8> buf{};
-          std::snprintf(buf.data(), buf.size(), "\\u%04x", c);
-          out += buf.data();
-        } else {
-          out += static_cast<char>(c);
-        }
+      default: {
+        std::array<char, 8> buf{};
+        std::snprintf(buf.data(), buf.size(), "\\u%04x", c);
+        out += buf.data();
+      }
     }
   }
-  return out;
+  out.append(s.substr(run));
 }
 
 }  // namespace panoptes::util

@@ -67,7 +67,8 @@ class Json {
       value_;
 };
 
-// Escapes a string for embedding in JSON output (no surrounding quotes).
-std::string JsonEscape(std::string_view s);
+// Appends `s` escaped for embedding in JSON output (no surrounding
+// quotes) to `out`; escape-free runs are copied in bulk.
+void JsonEscapeTo(std::string_view s, std::string& out);
 
 }  // namespace panoptes::util

@@ -107,17 +107,23 @@ std::string MakeSensitiveName(util::Rng& rng, SiteCategory category,
 
 }  // namespace
 
+SiteCatalog::SiteCatalog(std::vector<Site> sites) : sites_(std::move(sites)) {
+  landing_html_.reserve(sites_.size());
+  for (const auto& site : sites_) {
+    landing_html_.push_back(RenderLandingHtml(site));
+  }
+}
+
 SiteCatalog SiteCatalog::Generate(uint64_t seed,
                                   const CatalogOptions& options) {
-  SiteCatalog catalog;
+  std::vector<Site> sites;
   util::Rng rng(seed);
   std::set<std::string> used;
 
   for (int i = 0; i < options.popular_count; ++i) {
     std::string name = MakePopularName(rng, i, used);
-    catalog.sites_.push_back(GenerateSite(std::move(name),
-                                          SiteCategory::kPopular, i + 1,
-                                          rng.Fork("site"), options.sitegen));
+    sites.push_back(GenerateSite(std::move(name), SiteCategory::kPopular,
+                                 i + 1, rng.Fork("site"), options.sitegen));
   }
 
   constexpr SiteCategory kSensitive[] = {
@@ -126,16 +132,14 @@ SiteCatalog SiteCatalog::Generate(uint64_t seed,
   for (int i = 0; i < options.sensitive_count; ++i) {
     SiteCategory category = kSensitive[i % 4];
     std::string name = MakeSensitiveName(rng, category, i, used);
-    catalog.sites_.push_back(GenerateSite(std::move(name), category, i + 1,
-                                          rng.Fork("site"), options.sitegen));
+    sites.push_back(GenerateSite(std::move(name), category, i + 1,
+                                 rng.Fork("site"), options.sitegen));
   }
-  return catalog;
+  return SiteCatalog(std::move(sites));
 }
 
 SiteCatalog SiteCatalog::FromSites(std::vector<Site> sites) {
-  SiteCatalog catalog;
-  catalog.sites_ = std::move(sites);
-  return catalog;
+  return SiteCatalog(std::move(sites));
 }
 
 const Site* SiteCatalog::FindByHost(std::string_view hostname) const {
@@ -169,12 +173,13 @@ std::vector<const Site*> SiteCatalog::SensitiveSites() const {
 void InstallWeb(const SiteCatalog& catalog, net::Network& network,
                 std::vector<net::IpAllocator>& origin_blocks,
                 net::IpAllocator& thirdparty_block) {
-  size_t block_index = 0;
-  for (const auto& site : catalog.sites()) {
-    auto& block = origin_blocks[block_index % origin_blocks.size()];
-    ++block_index;
-    network.Host(site.hostname, block.Next(),
-                 std::make_shared<OriginServer>(site), site.supports_h3);
+  const auto& sites = catalog.sites();
+  for (size_t i = 0; i < sites.size(); ++i) {
+    auto& block = origin_blocks[i % origin_blocks.size()];
+    network.Host(sites[i].hostname, block.Next(),
+                 std::make_shared<OriginServer>(sites[i],
+                                                catalog.landing_html(i)),
+                 sites[i].supports_h3);
   }
   for (const auto& service : ThirdPartyPool()) {
     network.Host(service.request_host, thirdparty_block.Next(),

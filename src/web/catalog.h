@@ -22,6 +22,8 @@ struct CatalogOptions {
   SiteGenOptions sitegen;
 };
 
+// Immutable once built: a fleet run generates one catalog and shares it
+// read-only across every job's testbed.
 class SiteCatalog {
  public:
   // Generates the dataset from one seed.
@@ -32,6 +34,11 @@ class SiteCatalog {
   static SiteCatalog FromSites(std::vector<Site> sites);
 
   const std::vector<Site>& sites() const { return sites_; }
+  // RenderLandingHtml(sites()[index]), rendered once when the catalog
+  // is built.
+  const std::string& landing_html(size_t index) const {
+    return landing_html_[index];
+  }
 
   const Site* FindByHost(std::string_view hostname) const;
 
@@ -43,13 +50,17 @@ class SiteCatalog {
   std::vector<const Site*> SensitiveSites() const;
 
  private:
+  explicit SiteCatalog(std::vector<Site> sites);
+
   std::vector<Site> sites_;
+  std::vector<std::string> landing_html_;  // parallel to sites_
 };
 
 // Installs origin servers for every catalog site and a generic server
 // for every third-party service into `network`. Origin addresses are
 // drawn from `origin_blocks` round-robin (so the dataset spans hosting
-// regions); third parties from `thirdparty_block`.
+// regions); third parties from `thirdparty_block`. The origin servers
+// borrow `catalog`'s sites and pages, so it must outlive `network`.
 void InstallWeb(const SiteCatalog& catalog, net::Network& network,
                 std::vector<net::IpAllocator>& origin_blocks,
                 net::IpAllocator& thirdparty_block);

@@ -1,8 +1,9 @@
 #include "web/origin_server.h"
 
+#include <algorithm>
+
 #include "util/json.h"
 #include "util/rng.h"
-#include "web/sitegen.h"
 
 namespace panoptes::web {
 
@@ -30,17 +31,24 @@ std::string BounceLocation(const Site& site) {
 }  // namespace
 
 std::string FillerBody(std::string_view tag, size_t size) {
+  // The whole units are built by doubling the string, not one by one.
+  size_t unit = tag.size() + 1;
+  size_t repeated = size / unit * unit;
   std::string out;
   out.reserve(size);
-  std::string unit = std::string(tag) + "|";
-  while (out.size() + unit.size() <= size) out += unit;
-  out.append(size - out.size(), '.');
+  if (repeated > 0) {
+    out.append(tag);
+    out.push_back('|');
+    while (out.size() < repeated) {
+      out.append(out, 0, std::min(out.size(), repeated - out.size()));
+    }
+  }
+  out.append(size - repeated, '.');
   return out;
 }
 
-OriginServer::OriginServer(Site site) : site_(std::move(site)) {
-  landing_html_ = RenderLandingHtml(site_);
-}
+OriginServer::OriginServer(const Site& site, const std::string& landing_html)
+    : site_(site), landing_html_(landing_html) {}
 
 net::HttpResponse OriginServer::Handle(const net::HttpRequest& request,
                                        const net::ConnectionMeta& meta) {
@@ -72,9 +80,8 @@ net::HttpResponse OriginServer::Handle(const net::HttpRequest& request,
   }
   for (const auto& resource : site_.resources) {
     if (!resource.third_party && resource.url.path() == path) {
-      return net::HttpResponse::Ok(
-          FillerBody(path, resource.body_size),
-          ResourceContentType(resource.type));
+      return net::HttpResponse::Filler(resource.body_size,
+                                       ResourceContentType(resource.type));
     }
   }
   return net::HttpResponse::NotFound();
@@ -137,14 +144,12 @@ net::HttpResponse ThirdPartyServer::Handle(const net::HttpRequest& request,
     }
     case ThirdPartyKind::kSocial:
     case ThirdPartyKind::kCdn:
-      return net::HttpResponse::Ok(
-          FillerBody(request.url.path(),
-                     static_cast<size_t>(rng.NextInRange(30'000, 150'000))),
+      return net::HttpResponse::Filler(
+          static_cast<size_t>(rng.NextInRange(30'000, 150'000)),
           "application/javascript");
     case ThirdPartyKind::kFont:
-      return net::HttpResponse::Ok(
-          FillerBody(request.url.path(),
-                     static_cast<size_t>(rng.NextInRange(20'000, 80'000))),
+      return net::HttpResponse::Filler(
+          static_cast<size_t>(rng.NextInRange(20'000, 80'000)),
           "font/woff2");
   }
   return net::HttpResponse::NotFound();

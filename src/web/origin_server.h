@@ -12,9 +12,11 @@
 namespace panoptes::web {
 
 // Serves one site's landing page and its first-party subresources.
+// The site and its rendered landing page are borrowed, not copied:
+// they belong to a SiteCatalog that must outlive the server.
 class OriginServer : public net::Server {
  public:
-  explicit OriginServer(Site site);
+  OriginServer(const Site& site, const std::string& landing_html);
 
   net::HttpResponse Handle(const net::HttpRequest& request,
                            const net::ConnectionMeta& meta) override;
@@ -25,14 +27,15 @@ class OriginServer : public net::Server {
   uint64_t hits() const { return hits_; }
 
  private:
-  Site site_;
-  std::string landing_html_;
+  const Site& site_;
+  const std::string& landing_html_;
   uint64_t hits_ = 0;
 };
 
 // Serves one third-party service's endpoints: bid responses for ad
 // slots, pixels for analytics, script bodies for CDNs/social, font
-// bytes. Body sizes are deterministic per path.
+// bytes. Body sizes are deterministic per path; script and font bodies
+// are sized (net::HttpResponse::Filler), never materialized.
 class ThirdPartyServer : public net::Server {
  public:
   explicit ThirdPartyServer(ThirdPartyService service);
@@ -48,7 +51,8 @@ class ThirdPartyServer : public net::Server {
   uint64_t hits_ = 0;
 };
 
-// A body of exactly `size` bytes, deterministic in `tag`.
+// A body of exactly `size` bytes, deterministic in `tag`: `tag|`
+// repeated while a whole unit fits, then '.' padding.
 std::string FillerBody(std::string_view tag, size_t size);
 
 }  // namespace panoptes::web

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "analysis/export.h"
 #include "analysis/report.h"
@@ -215,6 +216,122 @@ TEST(FleetSeed, JobSeedsAreDistinctAcrossThePlan) {
     seeds.insert(DeriveJobSeed(20231024, job.spec.name, job.kind, job.shard));
   }
   EXPECT_EQ(seeds.size(), jobs.size());
+}
+
+// Shared immutable web: a fleet run builds one SiteCatalog and every
+// job's testbed borrows it. Sharing must be invisible in every output.
+
+FrameworkOptions SharedWebOptions() {
+  FrameworkOptions options;
+  options.catalog_seed = 7;
+  options.catalog.popular_count = 4;
+  options.catalog.sensitive_count = 2;
+  options.catalog.sitegen.bounce_fraction = 0.5;
+  options.catalog.sitegen.decoration_fraction = 0.5;
+  return options;
+}
+
+// The landing responses `framework`'s web serves for `site`, as bytes:
+// the plain landing request (a bounce site answers it with a 302) and
+// the decorated one a finished bounce chain arrives with.
+std::string LandingBytes(Framework& framework, const web::Site& site) {
+  const net::HostBinding* host =
+      framework.network().FindByHost(site.hostname);
+  EXPECT_NE(host, nullptr) << site.hostname;
+  if (host == nullptr) return "";
+  net::Url decorated = site.landing_url;
+  decorated.AddQueryParam("pan_uid", site.smuggle_uid);
+  std::string out;
+  for (const net::Url& url : {site.landing_url, decorated}) {
+    net::HttpRequest request;
+    request.url = url;
+    auto response = framework.network().Deliver(host->ip, request, {});
+    out += std::to_string(response.status) + "\n" +
+           response.headers.Get("Location").value_or("") + "\n" +
+           response.headers.Get("Set-Cookie").value_or("") + "\n" +
+           response.body + "\n";
+  }
+  return out;
+}
+
+TEST(FleetSharedWeb, FrameworkExposesTheSharedCatalog) {
+  FrameworkOptions options = SharedWebOptions();
+  auto catalog = GenerateCatalog(options);
+  Framework framework(options, catalog);
+  EXPECT_EQ(&framework.catalog(), catalog.get());
+  // A standalone framework generates a private catalog of its own.
+  Framework standalone(options);
+  EXPECT_NE(&standalone.catalog(), catalog.get());
+}
+
+TEST(FleetSharedWeb, SharedFrameworksServeSelfGeneratedPages) {
+  FrameworkOptions options = SharedWebOptions();
+  auto catalog = GenerateCatalog(options);
+  // Two job testbeds on one catalog, with different runtime seeds (as
+  // two fleet jobs have), against a framework that generated its own.
+  FrameworkOptions first = options, second = options;
+  first.seed = 1;
+  second.seed = 2;
+  Framework a(first, catalog);
+  Framework b(second, catalog);
+  Framework reference(options);
+  const auto& sites = reference.catalog().sites();
+  ASSERT_EQ(sites.size(), catalog->sites().size());
+  for (size_t i = 0; i < sites.size(); ++i) {
+    SCOPED_TRACE(sites[i].hostname);
+    EXPECT_EQ(catalog->sites()[i].hostname, sites[i].hostname);
+    EXPECT_EQ(catalog->landing_html(i), reference.catalog().landing_html(i));
+    std::string expected = LandingBytes(reference, sites[i]);
+    EXPECT_NE(expected.find("<!doctype html>"), std::string::npos);
+    EXPECT_EQ(LandingBytes(a, catalog->sites()[i]), expected);
+    EXPECT_EQ(LandingBytes(b, catalog->sites()[i]), expected);
+  }
+}
+
+// Every report the fleet exports, from `results`.
+std::string AllReports(std::vector<FleetJobResult> results) {
+  auto merged = FleetExecutor::MergeShards(std::move(results));
+  return analysis::FleetReportJson(merged) + analysis::FleetSummaryCsv(merged) +
+         analysis::UidSmugglingReportJson(merged) +
+         analysis::UidSmugglingCsv(merged);
+}
+
+TEST(FleetSharedWeb, ParallelMatchesSerialReports) {
+  FleetOptions options = TinyFleet(4);
+  options.framework = SharedWebOptions();
+  FleetExecutor executor(options);
+  auto jobs = FleetExecutor::PlanCampaign(
+      Browsers({"Yandex", "Opera", "DuckDuckGo"}),
+      {CampaignKind::kCrawl, CampaignKind::kIncognitoCrawl,
+       CampaignKind::kIdle},
+      3, CrawlOptions{}, ShortIdle());
+  std::string serial = AllReports(executor.RunSerial(jobs));
+  EXPECT_NE(serial.find("\"findings\""), std::string::npos);
+  EXPECT_EQ(AllReports(executor.Run(jobs)), serial);
+}
+
+TEST(FleetSharedWeb, ParallelMatchesSerialUnderChaosRetries) {
+  FleetOptions options = TinyFleet(4);
+  options.framework = SharedWebOptions();
+  options.framework.chaos = *chaos::FaultProfile::Named("dns-storm");
+  options.max_job_retries = 2;
+  FleetExecutor executor(options);
+  // One site per shard, no per-visit retry: a failed landing kills its
+  // job, which re-runs on a fresh attempt seed over the same shared web.
+  auto jobs = FleetExecutor::PlanCampaign(
+      Browsers({"Yandex", "Opera", "DuckDuckGo"}),
+      {CampaignKind::kCrawl, CampaignKind::kIncognitoCrawl}, 6);
+  auto serial = executor.RunSerial(jobs);
+  auto parallel = executor.Run(jobs);
+  ASSERT_EQ(serial.size(), parallel.size());
+  int retried = 0;
+  for (size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i].attempts, parallel[i].attempts) << i;
+    EXPECT_EQ(serial[i].seed, parallel[i].seed) << i;
+    if (serial[i].attempts > 1) ++retried;
+  }
+  EXPECT_GT(retried, 0);
+  EXPECT_EQ(AllReports(std::move(parallel)), AllReports(std::move(serial)));
 }
 
 }  // namespace

@@ -263,7 +263,9 @@ TEST(SiteGenScenario, PlainHttpRewritesFirstPartyUrls) {
   ASSERT_TRUE(site.plain_http);
   EXPECT_EQ(site.landing_url.scheme(), "http");
   for (const auto& resource : site.resources) {
-    if (!resource.third_party) EXPECT_EQ(resource.url.scheme(), "http");
+    if (!resource.third_party) {
+      EXPECT_EQ(resource.url.scheme(), "http");
+    }
   }
 }
 
@@ -274,7 +276,8 @@ TEST(OriginServerBounce, LandingBouncesThroughTrackersThenServes) {
   web::Site site = web::GenerateSite("shop.com", web::SiteCategory::kPopular,
                                      1, util::Rng(80), on);
   ASSERT_TRUE(site.bounce_tracking);
-  web::OriginServer origin(site);
+  std::string html = web::RenderLandingHtml(site);
+  web::OriginServer origin(site, html);
   net::ConnectionMeta meta;
 
   net::HttpRequest request;
@@ -319,7 +322,8 @@ TEST(OriginServerBounce, SecureCookieOnlyOnHttpsSites) {
   util::Rng rng(80);
   web::Site https_site =
       web::GenerateSite("shop.com", web::SiteCategory::kPopular, 1, rng);
-  web::OriginServer https_server(https_site);
+  std::string https_html = web::RenderLandingHtml(https_site);
+  web::OriginServer https_server(https_site, https_html);
   net::ConnectionMeta meta;
   net::HttpRequest request;
   request.url = https_site.landing_url;
@@ -335,7 +339,8 @@ TEST(OriginServerBounce, SecureCookieOnlyOnHttpsSites) {
   web::Site http_site = web::GenerateSite(
       "news.com", web::SiteCategory::kPopular, 1, util::Rng(81), on);
   ASSERT_TRUE(http_site.plain_http);
-  web::OriginServer http_server(http_site);
+  std::string http_html = web::RenderLandingHtml(http_site);
+  web::OriginServer http_server(http_site, http_html);
   net::HttpRequest http_request;
   http_request.url = http_site.landing_url;
   auto http_cookie =

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "util/rng.h"
 
 namespace panoptes::util {
@@ -19,6 +23,62 @@ TEST(Json, DumpPrimitives) {
 TEST(Json, DumpEscapes) {
   EXPECT_EQ(Json("a\"b\\c\nd").Dump(), "\"a\\\"b\\\\c\\nd\"");
   EXPECT_EQ(Json(std::string("\x01", 1)).Dump(), "\"\\u0001\"");
+}
+
+// The per-char escape loop JsonEscapeTo replaced; its bytes are the
+// contract the bulk-append version must keep.
+std::string ReferenceJsonEscape(std::string_view s) {
+  std::string out;
+  for (unsigned char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (c < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += static_cast<char>(c);
+        }
+    }
+  }
+  return out;
+}
+
+TEST(JsonEscape, MatchesPerCharReference) {
+  std::vector<std::string> inputs = {
+      "",
+      "creative|creative|creative|...",
+      "\"quoted at start",
+      "escape in \\ the middle",
+      "newline at end\n",
+      "\t\r\n\b\f",
+      std::string("nul\0and\x01\x1f controls", 18),
+      "\"\\\"\\",
+      "caf\xc3\xa9 \xff\x80 bytes \x7f",
+      std::string(5000, 'a') + "\"" + std::string(5000, 'b'),
+  };
+  // Every single byte value, alone and between escape-free runs.
+  for (int c = 0; c < 256; ++c) {
+    inputs.push_back(std::string(1, static_cast<char>(c)));
+    inputs.push_back("ab" + std::string(1, static_cast<char>(c)) + "cd");
+  }
+  for (const auto& input : inputs) {
+    std::string expected = ReferenceJsonEscape(input);
+    std::string escaped;
+    JsonEscapeTo(input, escaped);
+    EXPECT_EQ(escaped, expected) << input;
+    std::string appended = "prefix";
+    JsonEscapeTo(input, appended);
+    EXPECT_EQ(appended, "prefix" + expected) << input;
+    EXPECT_EQ(Json(input).Dump(), "\"" + expected + "\"") << input;
+  }
 }
 
 TEST(Json, DumpStructures) {

@@ -2,7 +2,10 @@
 // origin servers, EasyList filter engine.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "net/fabric.h"
+#include "net/wire.h"
 #include "web/catalog.h"
 #include "web/easylist.h"
 #include "web/origin_server.h"
@@ -118,7 +121,8 @@ TEST(Catalog, DeterministicAcrossRuns) {
 TEST(OriginServer, ServesLandingAndResources) {
   util::Rng rng(80);
   Site site = GenerateSite("shop.com", SiteCategory::kPopular, 1, rng);
-  OriginServer server(site);
+  std::string html = RenderLandingHtml(site);
+  OriginServer server(site, html);
 
   net::HttpRequest request;
   request.url = site.landing_url;
@@ -129,13 +133,18 @@ TEST(OriginServer, ServesLandingAndResources) {
   EXPECT_NE(landing.body.find("<!doctype html>"), std::string::npos);
 
   // First first-party resource must be fetchable with the right size.
+  // Its body is sized, not materialized: the size rides filler_bytes
+  // and Content-Length.
   for (const auto& resource : site.resources) {
     if (resource.third_party) continue;
     net::HttpRequest sub;
     sub.url = resource.url;
     auto response = server.Handle(sub, meta);
     EXPECT_EQ(response.status, 200);
-    EXPECT_EQ(response.body.size(), resource.body_size);
+    EXPECT_TRUE(response.body.empty());
+    EXPECT_EQ(response.filler_bytes, resource.body_size);
+    EXPECT_EQ(response.headers.Get("Content-Length").value_or(""),
+              std::to_string(resource.body_size));
     break;
   }
 
@@ -154,12 +163,70 @@ TEST(ThirdPartyServer, DeterministicBodies) {
   auto b = server.Handle(request, meta);
   EXPECT_EQ(a.body, b.body);
   EXPECT_EQ(a.status, 200);
+
+  // CDN scripts are sized bodies: same path, same size, in the
+  // generator's 30-150 kB band, with no bytes materialized.
+  ThirdPartyServer cdn(ServicesOfKind(ThirdPartyKind::kCdn).front());
+  net::HttpRequest script;
+  script.url = net::Url::MustParse("https://" + cdn.service().request_host +
+                                   "/lib/v1.js");
+  auto c = cdn.Handle(script, meta);
+  auto d = cdn.Handle(script, meta);
+  EXPECT_EQ(c.status, 200);
+  EXPECT_TRUE(c.body.empty());
+  EXPECT_EQ(c.filler_bytes, d.filler_bytes);
+  EXPECT_EQ(c.WireSize(), d.WireSize());
+  EXPECT_GE(c.filler_bytes, 30'000u);
+  EXPECT_LE(c.filler_bytes, 150'000u);
+  EXPECT_EQ(c.headers.Get("Content-Length").value_or(""),
+            std::to_string(c.filler_bytes));
 }
 
 TEST(FillerBody, ExactSize) {
   EXPECT_EQ(FillerBody("tag", 1000).size(), 1000u);
   EXPECT_EQ(FillerBody("tag", 0).size(), 0u);
   EXPECT_EQ(FillerBody("tag", 3).size(), 3u);
+}
+
+// The unit-at-a-time loop FillerBody replaced; its bytes are the
+// contract the doubling version must keep.
+std::string ReferenceFillerBody(std::string_view tag, size_t size) {
+  std::string out;
+  std::string unit = std::string(tag) + "|";
+  while (out.size() + unit.size() <= size) out += unit;
+  out.append(size - out.size(), '.');
+  return out;
+}
+
+TEST(FillerBody, MatchesUnitAppendReference) {
+  // "creative|" is a 9-byte unit: empty, shorter than the unit, exact
+  // multiples, multiples plus a remainder, and a large CDN-sized body.
+  for (size_t size : {0, 1, 8, 9, 18, 27, 30, 9 * 1000 + 4, 150'000}) {
+    EXPECT_EQ(FillerBody("creative", size),
+              ReferenceFillerBody("creative", size))
+        << size;
+  }
+  for (std::string_view tag : {"", "/a/b.js", "x"}) {
+    for (size_t size : {0, 1, 2, 7, 14, 15, 4096, 150'000}) {
+      EXPECT_EQ(FillerBody(tag, size), ReferenceFillerBody(tag, size))
+          << tag << " " << size;
+    }
+  }
+}
+
+TEST(HttpResponseFiller, MatchesMaterializedBody) {
+  for (size_t size : {0, 1, 9, 1500, 30'000, 150'000}) {
+    auto sized = net::HttpResponse::Filler(size, "application/javascript");
+    auto materialized = net::HttpResponse::Ok(FillerBody("/lib.js", size),
+                                              "application/javascript");
+    EXPECT_TRUE(sized.body.empty());
+    EXPECT_EQ(sized.filler_bytes, size);
+    EXPECT_EQ(sized.WireSize(), materialized.WireSize()) << size;
+    EXPECT_EQ(sized.headers.Get("Content-Length").value_or(""),
+              std::to_string(size));
+    EXPECT_EQ(sized.headers.entries(), materialized.headers.entries());
+    EXPECT_EQ(net::FormatResponse(sized).size(), sized.WireSize()) << size;
+  }
 }
 
 TEST(EasyList, ParseAndMatch) {
