@@ -33,6 +33,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <sstream>
 #include <stdexcept>
 
 #include "analysis/export.h"
@@ -95,11 +97,29 @@ int Usage() {
   return 2;
 }
 
-bool WriteFile(const std::string& path, const std::string& content) {
+// Writes `content` to `path`; says "cannot write PATH" on stderr when
+// that fails.
+bool WriteOutput(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  out << content;
-  return static_cast<bool>(out);
+  if (out) out << content;
+  if (out) return true;
+  std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  return false;
+}
+
+// The whole of `path`; nullopt when it cannot be opened.
+std::optional<std::string> ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+// ReadFile that says "cannot read PATH" on stderr when it fails.
+std::optional<std::string> ReadInput(const std::string& path) {
+  auto text = ReadFile(path);
+  if (!text) std::fprintf(stderr, "cannot read %s\n", path.c_str());
+  return text;
 }
 
 core::Framework MakeFramework(int sites) {
@@ -113,11 +133,9 @@ core::Framework MakeFramework(int sites) {
 // or a path to a FaultProfile JSON file.
 std::optional<chaos::FaultProfile> LoadChaosProfile(const std::string& arg) {
   if (auto named = chaos::FaultProfile::Named(arg)) return named;
-  std::ifstream in(arg, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  return chaos::FaultProfile::FromJson(text);
+  auto text = ReadFile(arg);
+  if (!text) return std::nullopt;
+  return chaos::FaultProfile::FromJson(*text);
 }
 
 int CmdBrowsers() {
@@ -187,7 +205,9 @@ int CmdCrawl(const util::Args& args) {
     }
   }
 
-  if (auto har_path = args.Option("har")) {
+  auto har_path = args.Option("har");
+  auto csv_path = args.Option("csv");
+  if (har_path || csv_path) {
     // Both stores concatenated into one capture, like a proxy dump.
     proxy::FlowStore combined;
     for (const auto& flow : result.engine_flows->flows()) {
@@ -196,27 +216,19 @@ int CmdCrawl(const util::Args& args) {
     for (const auto& flow : result.native_flows->flows()) {
       combined.Add(flow.Materialize());
     }
-    if (!WriteFile(*har_path, proxy::ExportHar(combined, "panoptes_cli"))) {
-      std::fprintf(stderr, "cannot write %s\n", har_path->c_str());
-      return 1;
+    if (har_path) {
+      if (!WriteOutput(*har_path,
+                       proxy::ExportHar(combined, "panoptes_cli"))) {
+        return 1;
+      }
+      std::printf("wrote %zu flows to %s\n", combined.size(),
+                  har_path->c_str());
     }
-    std::printf("wrote %zu flows to %s\n", combined.size(),
-                har_path->c_str());
-  }
-  if (auto csv_path = args.Option("csv")) {
-    proxy::FlowStore combined;
-    for (const auto& flow : result.engine_flows->flows()) {
-      combined.Add(flow.Materialize());
+    if (csv_path) {
+      if (!WriteOutput(*csv_path, analysis::FlowStoreCsv(combined))) return 1;
+      std::printf("wrote %zu flows to %s\n", combined.size(),
+                  csv_path->c_str());
     }
-    for (const auto& flow : result.native_flows->flows()) {
-      combined.Add(flow.Materialize());
-    }
-    if (!WriteFile(*csv_path, analysis::FlowStoreCsv(combined))) {
-      std::fprintf(stderr, "cannot write %s\n", csv_path->c_str());
-      return 1;
-    }
-    std::printf("wrote %zu flows to %s\n", combined.size(),
-                csv_path->c_str());
   }
   return 0;
 }
@@ -328,7 +340,7 @@ int CmdFleet(const util::Args& args) {
   int max_retries = static_cast<int>(args.IntOptionOr("max-retries", 0));
   options.max_job_retries = max_retries;
   core::CrawlOptions crawl_options;
-  crawl_options.retry.max_retries = max_retries;
+  crawl_options.max_visit_retries = max_retries;
 
   // Streaming ingest: per-job live-store memory budget, spill directory
   // for sealed segments (safe to share across jobs — segment filenames
@@ -364,8 +376,9 @@ int CmdFleet(const util::Args& args) {
     for (const auto& spec : browsers) {
       core::FrameworkOptions fw = options.framework;
       fw.catalog_seed = options.base_seed;
-      fw.seed = core::DeriveJobSeed(options.base_seed, spec.name,
-                                    core::CampaignKind::kIdle, 0);
+      fw.seed = core::DeriveJobSeed(
+          options.base_seed,
+          core::FleetJob{.spec = spec, .kind = core::CampaignKind::kIdle});
       obs::Journal job_journal;
       if (window_journal_path) fw.journal = &job_journal;
       core::Framework framework(fw);
@@ -387,26 +400,18 @@ int CmdFleet(const util::Args& args) {
     }
     combined += "]}";
     if (auto json_path = args.Option("json")) {
-      if (!WriteFile(*json_path, combined)) {
-        std::fprintf(stderr, "cannot write %s\n", json_path->c_str());
-        return 1;
-      }
+      if (!WriteOutput(*json_path, combined)) return 1;
       std::printf("wrote %s\n", json_path->c_str());
     }
     if (auto metrics_path = args.Option("metrics-out")) {
-      if (!WriteFile(*metrics_path,
-                     obs::MetricsRegistry::Default().PrometheusText())) {
-        std::fprintf(stderr, "cannot write %s\n", metrics_path->c_str());
+      if (!WriteOutput(*metrics_path,
+                       obs::MetricsRegistry::Default().PrometheusText())) {
         return 1;
       }
       std::printf("wrote %s\n", metrics_path->c_str());
     }
     if (window_journal_path) {
-      if (!WriteFile(*window_journal_path, run_journal.Jsonl())) {
-        std::fprintf(stderr, "cannot write %s\n",
-                     window_journal_path->c_str());
-        return 1;
-      }
+      if (!WriteOutput(*window_journal_path, run_journal.Jsonl())) return 1;
       std::printf("wrote %zu journal events to %s\n", run_journal.size(),
                   window_journal_path->c_str());
     }
@@ -494,37 +499,28 @@ int CmdFleet(const util::Args& args) {
               analysis::FleetSummaryTable(merged, &stats, &manifest).c_str());
 
   if (auto manifest_path = args.Option("manifest-out")) {
-    if (!WriteFile(*manifest_path, analysis::RunManifestJson(manifest))) {
-      std::fprintf(stderr, "cannot write %s\n", manifest_path->c_str());
+    if (!WriteOutput(*manifest_path, analysis::RunManifestJson(manifest))) {
       return 1;
     }
     std::printf("wrote %s\n", manifest_path->c_str());
   }
   if (auto json_path = args.Option("json")) {
-    if (!WriteFile(*json_path, analysis::FleetReportJson(merged))) {
-      std::fprintf(stderr, "cannot write %s\n", json_path->c_str());
-      return 1;
-    }
+    if (!WriteOutput(*json_path, analysis::FleetReportJson(merged))) return 1;
     std::printf("wrote %s\n", json_path->c_str());
   }
   if (auto csv_path = args.Option("csv")) {
-    if (!WriteFile(*csv_path, analysis::FleetSummaryCsv(merged))) {
-      std::fprintf(stderr, "cannot write %s\n", csv_path->c_str());
-      return 1;
-    }
+    if (!WriteOutput(*csv_path, analysis::FleetSummaryCsv(merged))) return 1;
     std::printf("wrote %s\n", csv_path->c_str());
   }
   if (auto smuggling_json = args.Option("smuggling-json")) {
-    if (!WriteFile(*smuggling_json,
-                   analysis::UidSmugglingReportJson(merged))) {
-      std::fprintf(stderr, "cannot write %s\n", smuggling_json->c_str());
+    if (!WriteOutput(*smuggling_json,
+                     analysis::UidSmugglingReportJson(merged))) {
       return 1;
     }
     std::printf("wrote %s\n", smuggling_json->c_str());
   }
   if (auto smuggling_csv = args.Option("smuggling-csv")) {
-    if (!WriteFile(*smuggling_csv, analysis::UidSmugglingCsv(merged))) {
-      std::fprintf(stderr, "cannot write %s\n", smuggling_csv->c_str());
+    if (!WriteOutput(*smuggling_csv, analysis::UidSmugglingCsv(merged))) {
       return 1;
     }
     std::printf("wrote %s\n", smuggling_csv->c_str());
@@ -532,27 +528,22 @@ int CmdFleet(const util::Args& args) {
 
   // Telemetry files go last so report-rendering spans are included.
   if (metrics_path) {
-    if (!WriteFile(*metrics_path,
-                   obs::MetricsRegistry::Default().PrometheusText())) {
-      std::fprintf(stderr, "cannot write %s\n", metrics_path->c_str());
+    if (!WriteOutput(*metrics_path,
+                     obs::MetricsRegistry::Default().PrometheusText())) {
       return 1;
     }
     std::printf("wrote %s\n", metrics_path->c_str());
   }
   if (trace_path) {
     obs::Tracer::Default().SetEnabled(false);
-    if (!WriteFile(*trace_path, obs::Tracer::Default().ChromeTraceJson())) {
-      std::fprintf(stderr, "cannot write %s\n", trace_path->c_str());
+    if (!WriteOutput(*trace_path, obs::Tracer::Default().ChromeTraceJson())) {
       return 1;
     }
     std::printf("wrote %zu spans to %s\n",
                 obs::Tracer::Default().EventCount(), trace_path->c_str());
   }
   if (journal_path) {
-    if (!WriteFile(*journal_path, run_journal.Jsonl())) {
-      std::fprintf(stderr, "cannot write %s\n", journal_path->c_str());
-      return 1;
-    }
+    if (!WriteOutput(*journal_path, run_journal.Jsonl())) return 1;
     std::printf("wrote %zu journal events to %s\n", run_journal.size(),
                 journal_path->c_str());
   }
@@ -568,11 +559,9 @@ int CmdValidateTelemetry(const util::Args& args) {
   bool checked_any = false;
 
   if (auto metrics_path = args.Option("metrics")) {
-    std::ifstream in(*metrics_path, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "cannot read %s\n", metrics_path->c_str());
-      return 1;
-    }
+    auto text = ReadInput(*metrics_path);
+    if (!text) return 1;
+    std::istringstream in(*text);
     std::string line;
     size_t samples = 0;
     size_t line_no = 0;
@@ -629,14 +618,9 @@ int CmdValidateTelemetry(const util::Args& args) {
   }
 
   if (auto trace_path = args.Option("trace")) {
-    std::ifstream in(*trace_path, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "cannot read %s\n", trace_path->c_str());
-      return 1;
-    }
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    auto parsed = util::Json::Parse(text);
+    auto text = ReadInput(*trace_path);
+    if (!text) return 1;
+    auto parsed = util::Json::Parse(*text);
     if (!parsed || !parsed->is_object()) {
       std::fprintf(stderr, "%s: not a JSON object\n", trace_path->c_str());
       return 1;
@@ -666,14 +650,9 @@ int CmdValidateTelemetry(const util::Args& args) {
   }
 
   if (auto manifest_path = args.Option("manifest")) {
-    std::ifstream in(*manifest_path, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "cannot read %s\n", manifest_path->c_str());
-      return 1;
-    }
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    auto parsed = util::Json::Parse(text);
+    auto text = ReadInput(*manifest_path);
+    if (!text) return 1;
+    auto parsed = util::Json::Parse(*text);
     if (!parsed || !parsed->is_object()) {
       std::fprintf(stderr, "%s: not a JSON object\n", manifest_path->c_str());
       return 1;
@@ -720,18 +699,13 @@ int CmdValidateTelemetry(const util::Args& args) {
   }
 
   if (auto journal_path = args.Option("journal")) {
-    std::ifstream in(*journal_path, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "cannot read %s\n", journal_path->c_str());
-      return 1;
-    }
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
+    auto text = ReadInput(*journal_path);
+    if (!text) return 1;
     // Fail-soft (obs::ValidateJournalJsonl): a journal cut off
     // mid-write — crash, full disk — still yields its valid prefix.
     // Exit 3 distinguishes "truncated but salvageable" from hard
     // corruption (1), so callers can keep the recorded events.
-    obs::JournalValidation validation = obs::ValidateJournalJsonl(text);
+    obs::JournalValidation validation = obs::ValidateJournalJsonl(*text);
     if (validation.truncated) {
       std::printf("journal truncated: %zu/%zu events valid in %s (%s)\n",
                   validation.valid_events, validation.declared_events,
@@ -799,12 +773,9 @@ int CmdExplain(const util::Args& args) {
   const uint32_t tag = static_cast<uint32_t>(uid >> 32);
   const uint32_t ordinal = static_cast<uint32_t>(uid);
   for (const auto& path : snaps) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) continue;
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
+    auto bytes = ReadFile(path.string());
     core::FleetJobResult result;
-    if (!core::snapshot::ReadAny(bytes, &result)) continue;
+    if (!bytes || !core::snapshot::ReadAny(*bytes, &result)) continue;
 
     struct Side {
       const proxy::FlowStore* store;
@@ -866,12 +837,9 @@ int CmdExplain(const util::Args& args) {
             flow.blocked ? ", blocked" : "");
 
         if (auto journal_path = args.Option("journal")) {
-          std::ifstream journal(*journal_path, std::ios::binary);
-          if (!journal) {
-            std::fprintf(stderr, "cannot read %s\n",
-                         journal_path->c_str());
-            return 1;
-          }
+          auto text = ReadInput(*journal_path);
+          if (!text) return 1;
+          std::istringstream journal(*text);
           const std::string needle =
               "\"" + obs::FlowIdHex(uid) + "\"";
           std::string line;
@@ -906,22 +874,10 @@ int CmdBaselineCheck(const util::Args& args) {
     std::fprintf(stderr, "baseline-check needs --baseline and --current\n");
     return 2;
   }
-  auto read = [](const std::string& path) -> std::optional<std::string> {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return std::nullopt;
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  };
-  auto baseline = read(*baseline_path);
-  if (!baseline) {
-    std::fprintf(stderr, "cannot read %s\n", baseline_path->c_str());
-    return 1;
-  }
-  auto current = read(*current_path);
-  if (!current) {
-    std::fprintf(stderr, "cannot read %s\n", current_path->c_str());
-    return 1;
-  }
+  auto baseline = ReadInput(*baseline_path);
+  if (!baseline) return 1;
+  auto current = ReadInput(*current_path);
+  if (!current) return 1;
   obs::BaselineResult result =
       obs::BaselineGate::Compare(*baseline, *current);
   std::printf("%s", result.Render().c_str());
@@ -933,10 +889,7 @@ int CmdSitelist(const util::Args& args) {
       static_cast<int>(args.IntOptionOr("sites", 1000)));
   std::string list = web::SaveSiteList(framework.catalog());
   if (auto out = args.Option("out")) {
-    if (!WriteFile(*out, list)) {
-      std::fprintf(stderr, "cannot write %s\n", out->c_str());
-      return 1;
-    }
+    if (!WriteOutput(*out, list)) return 1;
     std::printf("wrote %zu sites to %s\n",
                 framework.catalog().sites().size(), out->c_str());
   } else {
@@ -951,14 +904,9 @@ int CmdRunManifest(const util::Args& args) {
     std::fprintf(stderr, "run-manifest needs a file\n");
     return 2;
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "cannot read %s\n", path.c_str());
-    return 1;
-  }
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  auto manifest = analysis::Manifest::FromJson(text);
+  auto text = ReadInput(path);
+  if (!text) return 1;
+  auto manifest = analysis::Manifest::FromJson(*text);
   if (!manifest) {
     std::fprintf(stderr, "invalid manifest: %s\n", path.c_str());
     return 1;
@@ -969,10 +917,7 @@ int CmdRunManifest(const util::Args& args) {
   auto result = analysis::RunManifest(*manifest);
   std::string rendered = result.ToJson();
   if (auto out_path = args.Option("out")) {
-    if (!WriteFile(*out_path, rendered)) {
-      std::fprintf(stderr, "cannot write %s\n", out_path->c_str());
-      return 1;
-    }
+    if (!WriteOutput(*out_path, rendered)) return 1;
     std::printf("wrote %s\n", out_path->c_str());
   } else {
     std::printf("%s\n", rendered.c_str());

@@ -1,6 +1,8 @@
 #include "core/campaign.h"
 
 #include <cmath>
+#include <optional>
+#include <string_view>
 
 #include "analysis/flow_index.h"
 #include "browser/cdp.h"
@@ -42,16 +44,12 @@ struct CampaignMetrics {
 };
 
 // Bounded exponential backoff with deterministic jitter. `failures` is
-// the number of failed attempts so far (>= 1). Advances only the
-// simulated clock, never the wall clock.
-util::Duration BackoffDelay(const VisitRetryPolicy& policy, int failures,
-                            util::Rng& rng) {
-  double delay = static_cast<double>(policy.base_backoff.millis) *
-                 std::pow(policy.multiplier, failures - 1);
-  delay = std::min(delay, static_cast<double>(policy.max_backoff.millis));
-  if (policy.jitter > 0) {
-    delay *= 1.0 + policy.jitter * (2.0 * rng.NextDouble() - 1.0);
-  }
+// the number of failed attempts so far (>= 1).
+util::Duration BackoffDelay(int failures, util::Rng& rng) {
+  double delay = static_cast<double>(kVisitBackoffBase.millis) *
+                 std::pow(kVisitBackoffMultiplier, failures - 1);
+  delay = std::min(delay, static_cast<double>(kVisitBackoffMax.millis));
+  delay *= 1.0 + kVisitBackoffJitter * (2.0 * rng.NextDouble() - 1.0);
   return util::Duration::Millis(static_cast<int64_t>(delay));
 }
 
@@ -64,6 +62,108 @@ std::string FaultCauseSince(const chaos::Injector* injector,
   const auto& events = injector->events();
   if (events.size() <= events_before) return "";
   return std::string(chaos::FaultKindName(events[events_before].kind));
+}
+
+// The capture buffer of one stream ("engine"/"native") of a campaign.
+StreamBuffer::Config BufferConfig(Framework& framework,
+                                  const StreamOptions& stream, uint32_t tag,
+                                  std::string_view role,
+                                  bool compact = false) {
+  return {.compact = compact, .provenance_tag = tag,
+          .seed = framework.options().seed, .stream = stream,
+          .chaos = framework.chaos(), .journal = framework.journal(),
+          .clock = &framework.clock(), .role = role};
+}
+
+// Drains `buffer` into a detached store — spill segments folded back
+// in, byte-identical to an unbounded capture — and its index.
+void TakeCapture(StreamBuffer& buffer,
+                 std::unique_ptr<proxy::FlowStore>& store,
+                 std::shared_ptr<const analysis::FlowIndex>& index,
+                 IngestStats& ingest) {
+  auto out = buffer.Materialize();
+  ingest.Accumulate(buffer.stats());
+  store = std::move(out.store);
+  store->SetChaos(nullptr);
+  store->SetJournal(nullptr);
+  index = std::make_shared<const analysis::FlowIndex>(std::move(out.index));
+}
+
+// Watchdog: true once `elapsed` reaches `deadline` (0 = none), when a
+// wedged campaign is cancelled into the fleet's retry/quarantine path.
+// The journal event records the run's progress under `progress_key`.
+template <typename Progress>
+bool WatchdogFires(Framework& framework, const browser::BrowserSpec& spec,
+                   util::Duration deadline, util::Duration elapsed,
+                   std::string_view progress_key, Progress progress) {
+  if (deadline.millis <= 0 || elapsed < deadline) return false;
+  static obs::Counter& watchdog_fires =
+      obs::MetricsRegistry::Default().GetCounter(
+          "panoptes_ingest_watchdog_cancels_total",
+          "Campaigns cancelled by the per-job watchdog deadline");
+  watchdog_fires.Inc();
+  if (obs::Journal* journal = framework.journal()) {
+    journal->Emit(framework.clock().Now().millis, "campaign",
+                  "watchdog_cancel")
+        .Str("browser", spec.name)
+        .Num(progress_key, progress)
+        .Num("deadline_millis", deadline.millis);
+  }
+  return true;
+}
+
+// The native monitor of idle and window campaigns (§3.5): the browser
+// sits untouched at its start page for `length` of simulated ticks and
+// only native flows are captured. `on_tick(elapsed, buffer)` runs after
+// each tick; `finish(buffer, journal)` takes the capture before teardown.
+// `tick_span` names a per-tick tracer span (empty: none).
+template <typename Options, typename Result, typename OnTick, typename Finish>
+void MonitorNative(Framework& framework, const browser::BrowserSpec& spec,
+                   const Options& options, util::Duration length,
+                   bool factory_reset, std::string_view begin_event,
+                   std::string_view length_key, std::string_view tick_span,
+                   Result& result, OnTick on_tick, Finish finish) {
+  const uint32_t native_tag =
+      proxy::MakeProvenanceTag(framework.options().seed, /*role=*/1);
+  auto& runtime = framework.PrepareBrowser(spec, factory_reset);
+  obs::Journal* journal = framework.journal();
+  StreamBuffer native_buffer(
+      BufferConfig(framework, options.stream, native_tag, "native"));
+  // Monitor runs only need the native database.
+  framework.taint_addon().SetSinks(nullptr, &native_buffer);
+
+  if (journal != nullptr) {
+    journal->Emit(framework.clock().Now().millis, "campaign", begin_event)
+        .Str("browser", spec.name)
+        .Num("native_tag", static_cast<uint64_t>(native_tag))
+        .Num(length_key, length.millis);
+  }
+  uint64_t fault_flows_before = framework.taint_addon().fault_injected_flows();
+
+  util::SimTime start = framework.clock().Now();
+  runtime.Startup();  // launch traffic is part of the monitored timeline
+
+  util::Duration elapsed{0};
+  while (elapsed < length) {
+    if (WatchdogFires(framework, spec, options.watchdog_deadline, elapsed,
+                      "elapsed_millis", elapsed.millis)) {
+      result.watchdog_cancelled = true;
+      break;
+    }
+    std::optional<obs::ScopedSpan> span;
+    if (!tick_span.empty()) span.emplace(tick_span, "campaign");
+    CampaignMetrics::Get().idle_ticks_total.Inc();
+    framework.clock().Advance(options.tick);
+    elapsed = framework.clock().Now() - start;
+    runtime.IdleTick(elapsed);
+    on_tick(elapsed, native_buffer);
+  }
+
+  result.fault_injected_flows =
+      framework.taint_addon().fault_injected_flows() - fault_flows_before;
+  framework.taint_addon().SetSinks(nullptr, nullptr);
+  finish(native_buffer, journal);
+  framework.TeardownBrowser();
 }
 
 }  // namespace
@@ -103,21 +203,11 @@ CrawlResult RunCrawl(Framework& framework, const browser::BrowserSpec& spec,
   // Capture is push-based: the taint addon pushes each completed flow
   // into a budgeted StreamBuffer, which keeps the live ring, updates
   // the incremental index, and spills/sheds under memory pressure.
-  StreamBuffer::Config engine_config;
-  engine_config.compact = options.compact_engine_store;
-  engine_config.provenance_tag = engine_tag;
-  engine_config.seed = framework.options().seed;
-  engine_config.stream = options.stream;
-  engine_config.chaos = injector;
-  engine_config.journal = journal;
-  engine_config.clock = &framework.clock();
-  engine_config.role = "engine";
-  StreamBuffer engine_buffer(engine_config);
-  StreamBuffer::Config native_config = engine_config;
-  native_config.compact = false;
-  native_config.provenance_tag = native_tag;
-  native_config.role = "native";
-  StreamBuffer native_buffer(native_config);
+  StreamBuffer engine_buffer(BufferConfig(framework, options.stream,
+                                          engine_tag, "engine",
+                                          options.compact_engine_store));
+  StreamBuffer native_buffer(
+      BufferConfig(framework, options.stream, native_tag, "native"));
   framework.taint_addon().SetSinks(&engine_buffer, &native_buffer);
 
   if (journal != nullptr) {
@@ -143,25 +233,10 @@ CrawlResult RunCrawl(Framework& framework, const browser::BrowserSpec& spec,
   runtime.Startup();
 
   for (const web::Site* site : sites) {
-    // Watchdog: a wedged job (chaos timeouts and retries can stretch
-    // the simulated timeline arbitrarily) is cancelled at its deadline
-    // and routed through the fleet's retry/quarantine machinery.
-    if (options.watchdog_deadline.millis > 0 &&
-        framework.clock().Now() - campaign_start >=
-            options.watchdog_deadline) {
+    if (WatchdogFires(framework, spec, options.watchdog_deadline,
+                      framework.clock().Now() - campaign_start, "visits_done",
+                      static_cast<uint64_t>(result.visits.size()))) {
       result.watchdog_cancelled = true;
-      static obs::Counter& watchdog_fires =
-          obs::MetricsRegistry::Default().GetCounter(
-              "panoptes_ingest_watchdog_cancels_total",
-              "Campaigns cancelled by the per-job watchdog deadline");
-      watchdog_fires.Inc();
-      if (journal != nullptr) {
-        journal->Emit(framework.clock().Now().millis, "campaign",
-                      "watchdog_cancel")
-            .Str("browser", spec.name)
-            .Num("visits_done", static_cast<uint64_t>(result.visits.size()))
-            .Num("deadline_millis", options.watchdog_deadline.millis);
-      }
       break;
     }
     obs::ScopedSpan visit_span("campaign.visit", "campaign");
@@ -183,7 +258,7 @@ CrawlResult RunCrawl(Framework& framework, const browser::BrowserSpec& spec,
     // to their pre-attempt marks (retries never double-count flows —
     // store and incremental index together), backs off on the simulated
     // clock, and tries again with the same driver. With the default
-    // policy (max_retries = 0) this runs the single attempt of the
+    // policy (max_visit_retries = 0) this runs the single attempt of the
     // legacy path.
     const uint64_t engine_mark = engine_buffer.FlowCount();
     const uint64_t native_mark = native_buffer.FlowCount();
@@ -201,8 +276,8 @@ CrawlResult RunCrawl(Framework& framework, const browser::BrowserSpec& spec,
       ++failures;
       record.fault_cause = FaultCauseSince(injector, events_before);
       if (record.fault_cause.empty()) record.fault_cause = "page-load-failed";
-      if (failures > options.retry.max_retries) {
-        if (options.retry.max_retries > 0) {
+      if (failures > options.max_visit_retries) {
+        if (options.max_visit_retries > 0) {
           // Final failure under an active retry policy: a degraded
           // visit contributes nothing, partial flows included.
           engine_buffer.RollbackTransaction();
@@ -216,8 +291,7 @@ CrawlResult RunCrawl(Framework& framework, const browser::BrowserSpec& spec,
           "panoptes_fleet_visit_retries_total",
           "Visit attempts retried after a failure");
       retries.Inc();
-      util::Duration delay =
-          BackoffDelay(options.retry, failures, backoff_rng);
+      util::Duration delay = BackoffDelay(failures, backoff_rng);
       if (journal != nullptr) {
         journal->Emit(framework.clock().Now().millis, "campaign",
                       "visit_retry")
@@ -274,20 +348,10 @@ CrawlResult RunCrawl(Framework& framework, const browser::BrowserSpec& spec,
       framework.taint_addon().fault_injected_flows() - fault_flows_before;
   framework.taint_addon().SetSinks(nullptr, nullptr);
 
-  // Drain the buffers: spill segments are read back and folded, with
-  // the live remainder, into one store per stream — byte-identical to
-  // an unbounded batch capture — and the incremental index rides along
-  // (rebuilt from the salvaged prefix if a segment was corrupt).
-  auto engine_out = engine_buffer.Materialize();
-  auto native_out = native_buffer.Materialize();
-  result.ingest.Accumulate(engine_buffer.stats());
-  result.ingest.Accumulate(native_buffer.stats());
-  result.engine_flows = std::move(engine_out.store);
-  result.native_flows = std::move(native_out.store);
-  result.engine_flows->SetChaos(nullptr);
-  result.native_flows->SetChaos(nullptr);
-  result.engine_flows->SetJournal(nullptr);
-  result.native_flows->SetJournal(nullptr);
+  TakeCapture(engine_buffer, result.engine_flows, result.engine_index,
+              result.ingest);
+  TakeCapture(native_buffer, result.native_flows, result.native_index,
+              result.ingest);
   if (journal != nullptr) {
     journal->Emit(framework.clock().Now().millis, "campaign", "crawl_end")
         .Str("browser", spec.name)
@@ -299,11 +363,6 @@ CrawlResult RunCrawl(Framework& framework, const browser::BrowserSpec& spec,
 
   metrics.engine_flows_total.Inc(result.engine_flows->size());
   metrics.native_flows_total.Inc(result.native_flows->size());
-
-  result.engine_index = std::make_shared<const analysis::FlowIndex>(
-      std::move(engine_out.index));
-  result.native_index = std::make_shared<const analysis::FlowIndex>(
-      std::move(native_out.index));
 
   PANOPTES_LOG(kInfo, "crawl")
       << spec.name << ": " << result.visits.size() << " visits, "
@@ -336,177 +395,71 @@ double IdleResult::ShareToDomain(std::string_view domain) const {
 
 IdleResult RunIdle(Framework& framework, const browser::BrowserSpec& spec,
                    const IdleOptions& options) {
-  CampaignMetrics& metrics = CampaignMetrics::Get();
   obs::ScopedSpan idle_span("campaign.idle", "campaign");
   idle_span.Arg("browser", spec.name);
 
   IdleResult result;
   result.browser = spec.name;
   result.bucket = options.bucket;
-  const uint32_t native_tag =
-      proxy::MakeProvenanceTag(framework.options().seed, /*role=*/1);
-
-  auto& runtime = framework.PrepareBrowser(spec, options.factory_reset);
-  obs::Journal* journal = framework.journal();
-
-  StreamBuffer::Config native_config;
-  native_config.provenance_tag = native_tag;
-  native_config.seed = framework.options().seed;
-  native_config.stream = options.stream;
-  native_config.chaos = framework.chaos();
-  native_config.journal = journal;
-  native_config.clock = &framework.clock();
-  native_config.role = "native";
-  StreamBuffer native_buffer(native_config);
-  // Idle runs only need the native database.
-  framework.taint_addon().SetSinks(nullptr, &native_buffer);
-
-  if (journal != nullptr) {
-    journal->Emit(framework.clock().Now().millis, "campaign", "idle_begin")
-        .Str("browser", spec.name)
-        .Num("native_tag", static_cast<uint64_t>(native_tag))
-        .Num("duration_millis", options.duration.millis);
-  }
-  uint64_t fault_flows_before = framework.taint_addon().fault_injected_flows();
-
-  util::SimTime start = framework.clock().Now();
-  runtime.Startup();  // launch traffic is part of the idle timeline
-
-  util::Duration elapsed{0};
+  const size_t bucket_count =
+      static_cast<size_t>(options.duration.millis / options.bucket.millis);
   util::Duration next_bucket = options.bucket;
-  while (elapsed < options.duration) {
-    if (options.watchdog_deadline.millis > 0 &&
-        elapsed >= options.watchdog_deadline) {
-      result.watchdog_cancelled = true;
-      static obs::Counter& watchdog_fires =
-          obs::MetricsRegistry::Default().GetCounter(
-              "panoptes_ingest_watchdog_cancels_total",
-              "Campaigns cancelled by the per-job watchdog deadline");
-      watchdog_fires.Inc();
-      if (journal != nullptr) {
-        journal->Emit(framework.clock().Now().millis, "campaign",
-                      "watchdog_cancel")
-            .Str("browser", spec.name)
-            .Num("elapsed_millis", elapsed.millis)
-            .Num("deadline_millis", options.watchdog_deadline.millis);
-      }
-      break;
-    }
-    obs::ScopedSpan tick_span("campaign.idle_tick", "campaign");
-    metrics.idle_ticks_total.Inc();
-    framework.clock().Advance(options.tick);
-    elapsed = framework.clock().Now() - start;
-    runtime.IdleTick(elapsed);
-    while (elapsed >= next_bucket && next_bucket <= options.duration) {
-      result.cumulative_by_bucket.push_back(native_buffer.FlowCount());
-      next_bucket = next_bucket + options.bucket;
-    }
-  }
-  while (result.cumulative_by_bucket.size() <
-         static_cast<size_t>(options.duration.millis /
-                             options.bucket.millis)) {
-    result.cumulative_by_bucket.push_back(native_buffer.FlowCount());
-  }
-
-  result.fault_injected_flows =
-      framework.taint_addon().fault_injected_flows() - fault_flows_before;
-  framework.taint_addon().SetSinks(nullptr, nullptr);
-  auto native_out = native_buffer.Materialize();
-  result.ingest = native_buffer.stats();
-  result.native_flows = std::move(native_out.store);
-  result.native_flows->SetChaos(nullptr);
-  result.native_flows->SetJournal(nullptr);
-  if (journal != nullptr) {
-    journal->Emit(framework.clock().Now().millis, "campaign", "idle_end")
-        .Str("browser", spec.name)
-        .Num("native_flows",
-             static_cast<uint64_t>(result.native_flows->size()));
-  }
-  framework.TeardownBrowser();
-  metrics.native_flows_total.Inc(result.native_flows->size());
-  result.native_index = std::make_shared<const analysis::FlowIndex>(
-      std::move(native_out.index));
+  MonitorNative(
+      framework, spec, options, options.duration, options.factory_reset,
+      "idle_begin", "duration_millis", "campaign.idle_tick", result,
+      [&](util::Duration elapsed, const StreamBuffer& buffer) {
+        while (elapsed >= next_bucket && next_bucket <= options.duration) {
+          result.cumulative_by_bucket.push_back(buffer.FlowCount());
+          next_bucket = next_bucket + options.bucket;
+        }
+      },
+      [&](StreamBuffer& buffer, obs::Journal* journal) {
+        // Buckets a cancelled run never reached hold its final count.
+        if (result.cumulative_by_bucket.size() < bucket_count) {
+          result.cumulative_by_bucket.resize(bucket_count, buffer.FlowCount());
+        }
+        TakeCapture(buffer, result.native_flows, result.native_index,
+                    result.ingest);
+        if (journal != nullptr) {
+          journal->Emit(framework.clock().Now().millis, "campaign", "idle_end")
+              .Str("browser", spec.name)
+              .Num("native_flows",
+                   static_cast<uint64_t>(result.native_flows->size()));
+        }
+      });
+  CampaignMetrics::Get().native_flows_total.Inc(result.native_flows->size());
   return result;
 }
 
 WindowResult RunWindow(Framework& framework, const browser::BrowserSpec& spec,
                        const WindowOptions& options) {
-  CampaignMetrics& metrics = CampaignMetrics::Get();
   obs::ScopedSpan window_span("campaign.window", "campaign");
   window_span.Arg("browser", spec.name);
 
   WindowResult result;
   result.browser = spec.name;
-  const uint32_t native_tag =
-      proxy::MakeProvenanceTag(framework.options().seed, /*role=*/1);
-
-  auto& runtime = framework.PrepareBrowser(spec, /*factory_reset=*/true);
-  obs::Journal* journal = framework.journal();
-
-  StreamBuffer::Config native_config;
-  native_config.provenance_tag = native_tag;
-  native_config.seed = framework.options().seed;
-  native_config.stream = options.stream;
-  native_config.chaos = framework.chaos();
-  native_config.journal = journal;
-  native_config.clock = &framework.clock();
-  native_config.role = "native";
-  StreamBuffer native_buffer(native_config);
-  framework.taint_addon().SetSinks(nullptr, &native_buffer);
-
-  if (journal != nullptr) {
-    journal->Emit(framework.clock().Now().millis, "campaign", "window_begin")
-        .Str("browser", spec.name)
-        .Num("native_tag", static_cast<uint64_t>(native_tag))
-        .Num("window_millis", options.window.millis);
-  }
-  uint64_t fault_flows_before = framework.taint_addon().fault_injected_flows();
-
-  util::SimTime start = framework.clock().Now();
-  runtime.Startup();
-
-  util::Duration elapsed{0};
-  while (elapsed < options.window) {
-    if (options.watchdog_deadline.millis > 0 &&
-        elapsed >= options.watchdog_deadline) {
-      result.watchdog_cancelled = true;
-      static obs::Counter& watchdog_fires =
-          obs::MetricsRegistry::Default().GetCounter(
-              "panoptes_ingest_watchdog_cancels_total",
-              "Campaigns cancelled by the per-job watchdog deadline");
-      watchdog_fires.Inc();
-      if (journal != nullptr) {
-        journal->Emit(framework.clock().Now().millis, "campaign",
-                      "watchdog_cancel")
-            .Str("browser", spec.name)
-            .Num("elapsed_millis", elapsed.millis)
-            .Num("deadline_millis", options.watchdog_deadline.millis);
-      }
-      break;
-    }
-    metrics.idle_ticks_total.Inc();
-    framework.clock().Advance(options.tick);
-    elapsed = framework.clock().Now() - start;
-    runtime.IdleTick(elapsed);
-  }
-
-  result.fault_injected_flows =
-      framework.taint_addon().fault_injected_flows() - fault_flows_before;
-  framework.taint_addon().SetSinks(nullptr, nullptr);
-  // Rolling-window contract: no terminal batch pass. The report is
-  // answered from the live incremental index; spilled flows stay on
-  // disk and are discarded with the buffer.
-  result.native_flows = native_buffer.FlowCount();
-  result.ingest = native_buffer.stats();
-  result.native_index = native_buffer.TakeIndex();
-  if (journal != nullptr) {
-    journal->Emit(framework.clock().Now().millis, "campaign", "window_end")
-        .Str("browser", spec.name)
-        .Num("native_flows", result.native_flows)
-        .Num("flows_shed", result.ingest.flows_shed);
-  }
-  framework.TeardownBrowser();
-  metrics.native_flows_total.Inc(result.native_index.flow_count());
+  // No per-tick span: a window may run for days.
+  MonitorNative(
+      framework, spec, options, options.window, /*factory_reset=*/true,
+      "window_begin", "window_millis", /*tick_span=*/"", result,
+      [](util::Duration, const StreamBuffer&) {},
+      [&](StreamBuffer& buffer, obs::Journal* journal) {
+        // Rolling-window contract: no terminal batch pass. The report is
+        // answered from the live incremental index; spilled flows stay on
+        // disk and are discarded with the buffer.
+        result.native_flows = buffer.FlowCount();
+        result.ingest = buffer.stats();
+        result.native_index = buffer.TakeIndex();
+        if (journal != nullptr) {
+          journal->Emit(framework.clock().Now().millis, "campaign",
+                        "window_end")
+              .Str("browser", spec.name)
+              .Num("native_flows", result.native_flows)
+              .Num("flows_shed", result.ingest.flows_shed);
+        }
+      });
+  CampaignMetrics::Get().native_flows_total.Inc(
+      result.native_index.flow_count());
   return result;
 }
 

@@ -19,18 +19,12 @@
 
 namespace panoptes::core {
 
-// Self-healing knobs for a crawl. Retries are deterministic: the
-// backoff delay advances the *simulated* clock only, and the jitter
-// stream is derived from the framework seed, so the same (seed,
-// profile) replays the same retry timeline. The default (max_retries
-// = 0) reproduces the legacy single-attempt behavior bit for bit.
-struct VisitRetryPolicy {
-  int max_retries = 0;  // extra attempts after the first failure
-  util::Duration base_backoff = util::Duration::Millis(500);
-  double multiplier = 2.0;
-  util::Duration max_backoff = util::Duration::Seconds(30);
-  double jitter = 0.2;  // +/- fraction applied to each delay
-};
+// Visit-retry backoff: bounded exponential with jitter drawn from the
+// framework seed, on the simulated clock, so retries replay exactly.
+inline constexpr auto kVisitBackoffBase = util::Duration::Millis(500);
+inline constexpr double kVisitBackoffMultiplier = 2.0;
+inline constexpr auto kVisitBackoffMax = util::Duration::Seconds(30);
+inline constexpr double kVisitBackoffJitter = 0.2;  // +/- fraction per delay
 
 struct CrawlOptions {
   bool incognito = false;
@@ -40,7 +34,7 @@ struct CrawlOptions {
   // bound memory over 1000-site crawls; analyses that need engine
   // headers (Referer leakage) ask for a full store.
   bool compact_engine_store = true;
-  VisitRetryPolicy retry;
+  int max_visit_retries = 0;  // extra attempts after a failed visit
   // Streaming ingest knobs (memory budget / spill / shed); the default
   // is unbounded and reproduces the batch capture bit for bit.
   StreamOptions stream;

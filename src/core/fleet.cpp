@@ -18,6 +18,10 @@ namespace panoptes::core {
 
 namespace {
 
+double SecondsSince(int64_t start_nanos) {
+  return static_cast<double>(util::SteadyNowNanos() - start_nanos) * 1e-9;
+}
+
 // Per-shard contiguous site range [begin, end) of an n-site catalog.
 void ShardRange(size_t n, int shard, int shard_count, size_t* begin,
                 size_t* end) {
@@ -97,6 +101,18 @@ bool JobFailed(const FleetJobResult& result) {
   return true;
 }
 
+// Starts a `fleet` journal event carrying the job's identity prefix
+// (browser, campaign, shard) that all fleet events share.
+obs::Journal::EventRef EmitJobEvent(obs::Journal& journal, int64_t sim_millis,
+                                    std::string_view kind,
+                                    const FleetJob& job) {
+  obs::Journal::EventRef event = journal.Emit(sim_millis, "fleet", kind);
+  event.Str("browser", job.spec.name)
+      .Str("campaign", CampaignKindName(job.kind))
+      .Num("shard", static_cast<int64_t>(job.shard));
+  return event;
+}
+
 }  // namespace
 
 // The catalog every job of one run crawls. Built lazily, once, by the
@@ -134,42 +150,33 @@ std::string_view CampaignKindName(CampaignKind kind) {
   return "?";
 }
 
-uint64_t DeriveJobSeed(uint64_t base_seed, std::string_view browser,
-                       CampaignKind kind, int shard) {
+uint64_t DeriveJobSeed(uint64_t base_seed, const FleetJob& job, int attempt) {
   // Splitmix chain: each identity component perturbs the state and is
   // diffused before the next one lands. Stable across platforms
   // (FNV-1a + splitmix64, no std::hash).
   uint64_t state = base_seed;
   util::SplitMix64(state);
-  state ^= util::HashString(browser);
+  state ^= util::HashString(job.spec.name);
   util::SplitMix64(state);
-  state ^= (static_cast<uint64_t>(kind) + 1) * 0x9E3779B97F4A7C15ull;
+  state ^= (static_cast<uint64_t>(job.kind) + 1) * 0x9E3779B97F4A7C15ull;
   util::SplitMix64(state);
-  state ^= static_cast<uint64_t>(shard) + 1;
-  return util::SplitMix64(state);
-}
-
-uint64_t DeriveJobSeed(uint64_t base_seed, std::string_view browser,
-                       CampaignKind kind, int shard, int attempt) {
-  uint64_t state = DeriveJobSeed(base_seed, browser, kind, shard);
-  // attempt 0 must stay bit-identical to the 4-argument form (pinned
-  // by the determinism golden tests); retries diffuse the counter in.
-  if (attempt == 0) return state;
-  state ^= (static_cast<uint64_t>(attempt)) * 0x9E3779B97F4A7C15ull;
-  return util::SplitMix64(state);
-}
-
-uint64_t DeriveJobSeed(uint64_t base_seed, std::string_view browser,
-                       CampaignKind kind, int shard, int attempt,
-                       uint64_t device_fingerprint) {
-  uint64_t state = DeriveJobSeed(base_seed, browser, kind, shard, attempt);
-  // The paper testbed is the identity element: default-cohort jobs keep
-  // the exact pre-population seeds the golden tests pin. Any other
-  // profile perturbs the chain, so a cohort sweep never replays the
-  // testbed's runtime streams.
-  if (device_fingerprint == device::PaperTestbedFingerprint()) return state;
-  state ^= device_fingerprint;
-  return util::SplitMix64(state);
+  state ^= static_cast<uint64_t>(job.shard) + 1;
+  uint64_t seed = util::SplitMix64(state);
+  // Retries diffuse the attempt counter in; attempt 0 leaves the chain
+  // as it is (pinned by the determinism golden tests).
+  if (attempt != 0) {
+    seed ^= static_cast<uint64_t>(attempt) * 0x9E3779B97F4A7C15ull;
+    seed = util::SplitMix64(seed);
+  }
+  // The paper testbed leaves it too, so default-cohort jobs keep the
+  // pre-population seeds. Any other profile perturbs the chain, so a
+  // cohort sweep never replays the testbed's runtime streams.
+  const uint64_t device = device::DeviceProfileFingerprint(job.cohort.profile);
+  if (device != device::PaperTestbedFingerprint()) {
+    seed ^= device;
+    seed = util::SplitMix64(seed);
+  }
+  return seed;
 }
 
 FleetExecutor::FleetExecutor(FleetOptions options)
@@ -185,24 +192,7 @@ std::vector<FleetJob> FleetExecutor::PlanCampaign(
     const std::vector<browser::BrowserSpec>& browsers,
     const std::vector<CampaignKind>& kinds, int shard_count,
     const CrawlOptions& crawl, const IdleOptions& idle) {
-  if (shard_count < 1) shard_count = 1;
-  std::vector<FleetJob> jobs;
-  for (const auto& spec : browsers) {
-    for (CampaignKind kind : kinds) {
-      int shards = kind == CampaignKind::kIdle ? 1 : shard_count;
-      for (int shard = 0; shard < shards; ++shard) {
-        FleetJob job;
-        job.spec = spec;
-        job.kind = kind;
-        job.shard = shard;
-        job.shard_count = shards;
-        job.crawl = crawl;
-        job.idle = idle;
-        jobs.push_back(std::move(job));
-      }
-    }
-  }
-  return jobs;
+  return PlanCampaign(browsers, {}, kinds, shard_count, crawl, idle);
 }
 
 std::vector<FleetJob> FleetExecutor::PlanCampaign(
@@ -210,13 +200,11 @@ std::vector<FleetJob> FleetExecutor::PlanCampaign(
     const std::vector<device::DeviceCohort>& cohorts,
     const std::vector<CampaignKind>& kinds, int shard_count,
     const CrawlOptions& crawl, const IdleOptions& idle) {
-  if (cohorts.empty()) {
-    return PlanCampaign(browsers, kinds, shard_count, crawl, idle);
-  }
   if (shard_count < 1) shard_count = 1;
+  const std::vector<device::DeviceCohort> testbed(1);
   std::vector<FleetJob> jobs;
   for (const auto& spec : browsers) {
-    for (const auto& cohort : cohorts) {
+    for (const auto& cohort : cohorts.empty() ? testbed : cohorts) {
       for (CampaignKind kind : kinds) {
         int shards = kind == CampaignKind::kIdle ? 1 : shard_count;
         for (int shard = 0; shard < shards; ++shard) {
@@ -249,9 +237,7 @@ FleetJobResult FleetExecutor::ExecuteJob(const FleetJob& job, int attempt,
   out.job = job;
 
   FrameworkOptions fw = options_.framework;
-  fw.seed = DeriveJobSeed(options_.base_seed, job.spec.name, job.kind,
-                          job.shard, attempt,
-                          device::DeviceProfileFingerprint(job.cohort.profile));
+  fw.seed = DeriveJobSeed(options_.base_seed, job, attempt);
   // The job's framework simulates the cohort's device — PII payloads,
   // cadence and endpoints all key off these traits.
   fw.device_profile = job.cohort.profile;
@@ -265,11 +251,8 @@ FleetJobResult FleetExecutor::ExecuteJob(const FleetJob& job, int attempt,
   // are pure functions of the job — nothing scheduling-dependent.
   fw.journal = journal;
   if (journal != nullptr) {
-    auto event = journal->Emit(0, "fleet", "job_start");
-    event.Str("browser", job.spec.name)
-        .Str("campaign", CampaignKindName(job.kind))
-        .Num("shard", static_cast<int64_t>(job.shard))
-        .Num("shard_count", static_cast<int64_t>(job.shard_count))
+    auto event = EmitJobEvent(*journal, 0, "job_start", job);
+    event.Num("shard_count", static_cast<int64_t>(job.shard_count))
         .Num("attempt", static_cast<int64_t>(attempt))
         .U64Hex("seed", fw.seed);
     // Cohort fields only for population jobs: default-cohort journals
@@ -312,10 +295,7 @@ FleetJobResult FleetExecutor::ExecuteJob(const FleetJob& job, int attempt,
     out.faults = framework.chaos()->events();
   }
   if (journal != nullptr) {
-    journal->Emit(framework.clock().Now().millis, "fleet", "job_finish")
-        .Str("browser", job.spec.name)
-        .Str("campaign", CampaignKindName(job.kind))
-        .Num("shard", static_cast<int64_t>(job.shard))
+    EmitJobEvent(*journal, framework.clock().Now().millis, "job_finish", job)
         .Num("faults", static_cast<uint64_t>(out.faults.size()))
         .Num("flow_writes_dropped", out.flow_writes_dropped);
   }
@@ -332,10 +312,7 @@ FleetJobResult FleetExecutor::ExecuteJobWithRetry(const FleetJob& job,
     if (attempt >= options_.max_job_retries) {
       result.quarantined = true;
       if (journal != nullptr) {
-        journal->Emit(0, "fleet", "job_quarantined")
-            .Str("browser", job.spec.name)
-            .Str("campaign", CampaignKindName(job.kind))
-            .Num("shard", static_cast<int64_t>(job.shard))
+        EmitJobEvent(*journal, 0, "job_quarantined", job)
             .Num("attempts", static_cast<int64_t>(result.attempts));
       }
       static obs::Counter& quarantined =
@@ -354,17 +331,16 @@ FleetJobResult FleetExecutor::ExecuteJobWithRetry(const FleetJob& job,
         "Fleet jobs re-executed with a fresh attempt seed");
     retries.Inc();
     if (journal != nullptr) {
-      journal->Emit(0, "fleet", "job_retry")
-          .Str("browser", job.spec.name)
-          .Str("campaign", CampaignKindName(job.kind))
-          .Num("shard", static_cast<int64_t>(job.shard))
+      EmitJobEvent(*journal, 0, "job_retry", job)
           .Num("next_attempt", static_cast<int64_t>(attempt + 1));
     }
   }
 }
 
 FleetJobResult FleetExecutor::RunJobCached(const FleetJob& job,
-                                           SharedWeb& web) const {
+                                           SharedWeb& web,
+                                           double* seconds) const {
+  const int64_t start = util::SteadyNowNanos();
   // Per-job buffer: single-threaded within the job, merged in plan
   // order afterwards (MergeJournal) — the determinism contract.
   obs::Journal job_journal;
@@ -377,10 +353,7 @@ FleetJobResult FleetExecutor::RunJobCached(const FleetJob& job,
     if (cached.has_value()) {
       result = std::move(*cached);
       if (journal != nullptr) {
-        journal->Emit(0, "fleet", "cache_hit")
-            .Str("browser", job.spec.name)
-            .Str("campaign", CampaignKindName(job.kind))
-            .Num("shard", static_cast<int64_t>(job.shard))
+        EmitJobEvent(*journal, 0, "cache_hit", job)
             .U64Hex("fingerprint", fingerprint);
       }
     } else {
@@ -394,37 +367,29 @@ FleetJobResult FleetExecutor::RunJobCached(const FleetJob& job,
   // After the store: by the time the callback observes N completions,
   // N snapshots are durably in place (the crash-simulation contract).
   if (options_.on_job_complete) options_.on_job_complete(result);
+  *seconds = SecondsSince(start);
+  FleetMetrics& metrics = FleetMetrics::Get();
+  metrics.job_seconds.Observe(*seconds);
+  metrics.jobs_total.Inc();
   return result;
 }
 
 std::vector<FleetJobResult> FleetExecutor::RunSerial(
     const std::vector<FleetJob>& jobs, FleetRunStats* stats) const {
-  FleetMetrics& metrics = FleetMetrics::Get();
   obs::ScopedSpan run_span("fleet.run_serial", "fleet");
   run_span.Arg("jobs", static_cast<int64_t>(jobs.size()));
   int64_t run_start = util::SteadyNowNanos();
 
   SharedWeb web;
-  std::vector<FleetJobResult> results;
-  results.reserve(jobs.size());
-  std::vector<double> job_seconds;
-  job_seconds.reserve(jobs.size());
-  for (const auto& job : jobs) {
-    int64_t start = util::SteadyNowNanos();
-    results.push_back(RunJobCached(job, web));
-    double seconds =
-        static_cast<double>(util::SteadyNowNanos() - start) * 1e-9;
-    job_seconds.push_back(seconds);
-    metrics.job_seconds.Observe(seconds);
-    metrics.jobs_total.Inc();
+  std::vector<FleetJobResult> results(jobs.size());
+  std::vector<double> job_seconds(jobs.size(), 0.0);
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    results[i] = RunJobCached(jobs[i], web, &job_seconds[i]);
   }
 
   if (stats != nullptr) {
-    stats->workers = 1;
-    stats->wall_seconds =
-        static_cast<double>(util::SteadyNowNanos() - run_start) * 1e-9;
-    stats->jobs_per_worker = {static_cast<int>(jobs.size())};
-    stats->job_seconds = std::move(job_seconds);
+    *stats = {1, SecondsSince(run_start), {static_cast<int>(jobs.size())},
+              std::move(job_seconds)};
   }
   return results;
 }
@@ -467,13 +432,7 @@ std::vector<FleetJobResult> FleetExecutor::Run(
       metrics.queue_depth.Set(
           static_cast<int64_t>(jobs.size() - index - 1));
       metrics.workers_busy.Add(1);
-      int64_t start = util::SteadyNowNanos();
-      results[index] = RunJobCached(jobs[index], web);
-      double seconds =
-          static_cast<double>(util::SteadyNowNanos() - start) * 1e-9;
-      job_seconds[index] = seconds;
-      metrics.job_seconds.Observe(seconds);
-      metrics.jobs_total.Inc();
+      results[index] = RunJobCached(jobs[index], web, &job_seconds[index]);
       metrics.workers_busy.Add(-1);
       ++jobs_per_worker[worker];
     }
@@ -486,11 +445,8 @@ std::vector<FleetJobResult> FleetExecutor::Run(
   metrics.queue_depth.Set(0);
 
   if (stats != nullptr) {
-    stats->workers = static_cast<int>(worker_count);
-    stats->wall_seconds =
-        static_cast<double>(util::SteadyNowNanos() - run_start) * 1e-9;
-    stats->jobs_per_worker = std::move(jobs_per_worker);
-    stats->job_seconds = std::move(job_seconds);
+    *stats = {static_cast<int>(worker_count), SecondsSince(run_start),
+              std::move(jobs_per_worker), std::move(job_seconds)};
   }
 
   PANOPTES_LOG(kInfo, "fleet")

@@ -37,28 +37,6 @@ enum class CampaignKind { kCrawl, kIncognitoCrawl, kIdle };
 
 std::string_view CampaignKindName(CampaignKind kind);
 
-// Derives the seed for one job from the campaign's base seed. The
-// derivation depends only on the job's identity — never on scheduling,
-// thread ids or the order other jobs finish — so a fleet run and a
-// serial run build byte-identical testbeds for the same job.
-uint64_t DeriveJobSeed(uint64_t base_seed, std::string_view browser,
-                       CampaignKind kind, int shard);
-
-// Retry-aware form: `attempt` 0 is the first execution and returns
-// exactly the value above; each retry gets a fresh decorrelated seed,
-// still a pure function of job identity + attempt counter.
-uint64_t DeriveJobSeed(uint64_t base_seed, std::string_view browser,
-                       CampaignKind kind, int shard, int attempt);
-
-// Device-aware form: folds the job's device-profile fingerprint
-// (device::DeviceProfileFingerprint) into the chain so two cohorts of
-// the same browser×kind×shard never share a runtime stream. The paper
-// testbed's fingerprint is the identity element — it returns exactly
-// the value above, keeping every pinned golden seed valid.
-uint64_t DeriveJobSeed(uint64_t base_seed, std::string_view browser,
-                       CampaignKind kind, int shard, int attempt,
-                       uint64_t device_fingerprint);
-
 // One unit of fleet work: a browser × device cohort × campaign kind ×
 // site shard. Crawl shards split the catalog into `shard_count`
 // contiguous ranges (shard s visits sites [s*n/count, (s+1)*n/count));
@@ -70,10 +48,17 @@ struct FleetJob {
   CampaignKind kind = CampaignKind::kCrawl;
   int shard = 0;
   int shard_count = 1;
-  device::DeviceCohort cohort;  // the synthetic user this job simulates
-  CrawlOptions crawl;  // crawl kinds; `incognito` is set from `kind`
-  IdleOptions idle;    // idle kind
+  device::DeviceCohort cohort{};  // the synthetic user this job simulates
+  CrawlOptions crawl{};  // crawl kinds; `incognito` is set from `kind`
+  IdleOptions idle{};    // idle kind
 };
+
+// One job's seed: a pure function of the base seed, the job's identity
+// (browser, kind, shard, device profile) and the retry `attempt`, never
+// of scheduling. Attempt 0 and the paper testbed's profile leave the
+// chain unperturbed, which keeps every pinned golden seed valid.
+uint64_t DeriveJobSeed(uint64_t base_seed, const FleetJob& job,
+                       int attempt = 0);
 
 struct FleetJobResult {
   FleetJob job;
@@ -186,8 +171,7 @@ class FleetExecutor {
 
   // Population form: browsers × cohorts × kinds × shards, cohorts in
   // population (index) order nested inside each browser. An empty
-  // cohort list plans the single default (paper testbed) cohort,
-  // byte-identical to the overload above.
+  // cohort list plans the single default (paper testbed) cohort.
   static std::vector<FleetJob> PlanCampaign(
       const std::vector<browser::BrowserSpec>& browsers,
       const std::vector<device::DeviceCohort>& cohorts,
@@ -222,10 +206,11 @@ class FleetExecutor {
   FleetJobResult ExecuteJobWithRetry(const FleetJob& job,
                                      obs::Journal* journal,
                                      SharedWeb& web) const;
-  // The cache-aware job path both Run and RunSerial go through: probe
-  // the cache (when enabled), execute on a miss, persist the fresh
-  // result, then fire options.on_job_complete.
-  FleetJobResult RunJobCached(const FleetJob& job, SharedWeb& web) const;
+  // The timed job step both Run and RunSerial go through: probe the
+  // cache (when enabled), execute on a miss, persist the fresh result,
+  // fire options.on_job_complete, and time it all into `*seconds`.
+  FleetJobResult RunJobCached(const FleetJob& job, SharedWeb& web,
+                              double* seconds) const;
 
   FleetOptions options_;
   std::unique_ptr<ResultCache> cache_;

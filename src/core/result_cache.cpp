@@ -139,11 +139,13 @@ void MixCrawlOptions(FingerprintHasher& h, const CrawlOptions& crawl) {
   h.Mix(crawl.factory_reset);
   h.Mix(crawl.settle.millis);
   h.Mix(crawl.compact_engine_store);
-  h.Mix(static_cast<int64_t>(crawl.retry.max_retries));
-  h.Mix(crawl.retry.base_backoff.millis);
-  h.Mix(crawl.retry.multiplier);
-  h.Mix(crawl.retry.max_backoff.millis);
-  h.Mix(crawl.retry.jitter);
+  h.Mix(static_cast<int64_t>(crawl.max_visit_retries));
+  // The backoff constants were options once; mixing them keeps every
+  // fingerprint, so existing caches still hit.
+  h.Mix(kVisitBackoffBase.millis);
+  h.Mix(kVisitBackoffMultiplier);
+  h.Mix(kVisitBackoffMax.millis);
+  h.Mix(kVisitBackoffJitter);
   MixStreamOptions(h, crawl.stream);
   h.Mix(crawl.watchdog_deadline.millis);
 }
@@ -233,9 +235,7 @@ uint64_t ResultCache::FingerprintJob(const FleetOptions& options,
   MixCohort(h, job.cohort);
   // Folds base_seed plus the whole identity-derivation chain; a base
   // seed change moves every job's fingerprint through this term.
-  h.Mix(DeriveJobSeed(options.base_seed, job.spec.name, job.kind, job.shard,
-                      /*attempt=*/0,
-                      device::DeviceProfileFingerprint(job.cohort.profile)));
+  h.Mix(DeriveJobSeed(options.base_seed, job));
   h.Mix(static_cast<int64_t>(options.max_job_retries));
   MixCrawlOptions(h, job.crawl);
   MixIdleOptions(h, job.idle);

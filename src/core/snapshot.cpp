@@ -298,6 +298,27 @@ bool ReadPayload(util::BinReader& in, FleetJobResult* result) {
   return in.ok() && in.AtEnd();
 }
 
+// Checks the header of `bytes` and reads the job identity that follows
+// it into `job` (name, kind, shard, shard count, cohort), leaving `in`
+// at the payload. False for a bad magic, a schema outside the readable
+// range or a truncated identity.
+bool ReadIdentity(std::string_view bytes, util::BinReader& in, FleetJob* job) {
+  auto header = PeekHeader(bytes);
+  if (!header.has_value() || header->schema < kMinReadableSchema ||
+      header->schema > kSchemaVersion) {
+    return false;
+  }
+  for (size_t i = 0; i < kMagic.size(); ++i) in.U8();
+  in.U32();
+  in.U64();
+  job->spec.name = in.Str();
+  job->kind = static_cast<CampaignKind>(in.U8());
+  job->shard = static_cast<int>(in.U32());
+  job->shard_count = static_cast<int>(in.U32());
+  ReadCohort(in, &job->cohort);
+  return in.ok();
+}
+
 }  // namespace
 
 std::string Write(const FleetJobResult& result, uint64_t fingerprint) {
@@ -343,65 +364,33 @@ std::optional<Header> PeekHeader(std::string_view bytes) {
 
 bool Read(std::string_view bytes, const FleetJob& job,
           FleetJobResult* result) {
-  auto header = PeekHeader(bytes);
-  if (!header.has_value() || header->schema < kMinReadableSchema ||
-      header->schema > kSchemaVersion) {
-    return false;
-  }
   util::BinReader in(bytes);
-  for (size_t i = 0; i < kMagic.size(); ++i) in.U8();
-  in.U32();
-  in.U64();
-
-  std::string browser = in.Str();
-  auto kind = static_cast<CampaignKind>(in.U8());
-  int shard = static_cast<int>(in.U32());
-  int shard_count = static_cast<int>(in.U32());
-  device::DeviceCohort cohort;
-  ReadCohort(in, &cohort);
-  if (!in.ok() || browser != job.spec.name || kind != job.kind ||
-      shard != job.shard || shard_count != job.shard_count ||
-      cohort.id != job.cohort.id || cohort.index != job.cohort.index) {
+  FleetJob stored;
+  if (!ReadIdentity(bytes, in, &stored) || stored.spec.name != job.spec.name ||
+      stored.kind != job.kind || stored.shard != job.shard ||
+      stored.shard_count != job.shard_count ||
+      stored.cohort.id != job.cohort.id ||
+      stored.cohort.index != job.cohort.index) {
     return false;
   }
-
   *result = FleetJobResult();
   result->job = job;
   return ReadPayload(in, result);
 }
 
 bool ReadAny(std::string_view bytes, FleetJobResult* result) {
-  auto header = PeekHeader(bytes);
-  if (!header.has_value() || header->schema < kMinReadableSchema ||
-      header->schema > kSchemaVersion) {
-    return false;
-  }
   util::BinReader in(bytes);
-  for (size_t i = 0; i < kMagic.size(); ++i) in.U8();
-  in.U32();
-  in.U64();
-
-  std::string browser = in.Str();
-  auto kind = static_cast<CampaignKind>(in.U8());
-  int shard = static_cast<int>(in.U32());
-  int shard_count = static_cast<int>(in.U32());
-  device::DeviceCohort cohort;
-  ReadCohort(in, &cohort);
-  if (!in.ok() || shard < 0 || shard_count <= 0 || shard >= shard_count) {
+  FleetJob job;
+  if (!ReadIdentity(bytes, in, &job) || job.shard < 0 ||
+      job.shard_count <= 0 || job.shard >= job.shard_count) {
     return false;
   }
-
-  *result = FleetJobResult();
-  if (const browser::BrowserSpec* spec = browser::FindSpec(browser);
+  if (const browser::BrowserSpec* spec = browser::FindSpec(job.spec.name);
       spec != nullptr) {
-    result->job.spec = *spec;
-  } else {
-    result->job.spec.name = browser;
+    job.spec = *spec;
   }
-  result->job.kind = kind;
-  result->job.shard = shard;
-  result->job.shard_count = shard_count;
-  result->job.cohort = std::move(cohort);
+  *result = FleetJobResult();
+  result->job = std::move(job);
   return ReadPayload(in, result);
 }
 

@@ -28,13 +28,13 @@ namespace panoptes::device {
 uint64_t DeviceProfileFingerprint(const DeviceProfile& profile);
 
 // Fingerprint of DeviceProfile::PaperTestbed(), computed once. The
-// identity element of the device-aware seed derivation: jobs running
+// identity element of core::DeriveJobSeed's device term: jobs running
 // the paper's testbed derive bit-identical seeds to the pre-population
 // scheme, keeping every pinned golden value valid.
 uint64_t PaperTestbedFingerprint();
 
 // Stable per-cohort id: splitmix chain over (population_seed, index),
-// like DeriveJobSeed. Never returns 0 — id 0 is reserved for the
+// like core::DeriveJobSeed. Never returns 0 — id 0 is reserved for the
 // default (paper testbed) cohort.
 uint64_t DeriveCohortId(uint64_t population_seed, int index);
 

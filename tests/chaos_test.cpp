@@ -149,15 +149,14 @@ TEST(ChaosInjector, SeedAndProfileBothChangeTheTimeline) {
 }
 
 TEST(ChaosSeed, AttemptZeroMatchesLegacyDerivation) {
-  using core::CampaignKind;
-  EXPECT_EQ(core::DeriveJobSeed(20231024, "Yandex", CampaignKind::kCrawl, 0),
-            core::DeriveJobSeed(20231024, "Yandex", CampaignKind::kCrawl, 0,
-                                /*attempt=*/0));
+  const core::FleetJob job{.spec = *browser::FindSpec("Yandex"),
+                           .kind = core::CampaignKind::kCrawl};
+  EXPECT_EQ(core::DeriveJobSeed(20231024, job),
+            core::DeriveJobSeed(20231024, job, /*attempt=*/0));
   // Retry attempts decorrelate.
   std::set<uint64_t> seeds;
   for (int attempt = 0; attempt < 4; ++attempt) {
-    seeds.insert(core::DeriveJobSeed(20231024, "Yandex",
-                                     CampaignKind::kCrawl, 0, attempt));
+    seeds.insert(core::DeriveJobSeed(20231024, job, attempt));
   }
   EXPECT_EQ(seeds.size(), 4u);
 }
@@ -184,7 +183,7 @@ std::vector<browser::BrowserSpec> Browsers(
 // jobs ∈ {1, 8} produce byte-identical reports AND manifests.
 TEST(ChaosFleetDeterminism, ReportAndManifestIdenticalAcrossWorkerCounts) {
   core::CrawlOptions crawl;
-  crawl.retry.max_retries = 2;
+  crawl.max_visit_retries = 2;
   auto jobs = core::FleetExecutor::PlanCampaign(
       Browsers({"Yandex", "DuckDuckGo"}),
       {core::CampaignKind::kCrawl, core::CampaignKind::kIncognitoCrawl}, 2,
@@ -284,7 +283,7 @@ TEST(ChaosRetry, FailedAttemptsAreRolledBack) {
     // One permanently-broken site (stub DNS outage, not chaos).
     framework.network().zone().SetFailing(sites[1]->hostname, true);
     core::CrawlOptions crawl;
-    crawl.retry.max_retries = max_retries;
+    crawl.max_visit_retries = max_retries;
     return core::RunCrawl(framework, *browser::FindSpec("Yandex"), sites,
                           crawl);
   };
@@ -357,7 +356,7 @@ TEST(ChaosMetrics, StoredMinusRolledBackReconcilesWithFinalStores) {
   for (const auto& site : framework.catalog().sites()) sites.push_back(&site);
   framework.network().zone().SetFailing(sites[1]->hostname, true);
   core::CrawlOptions crawl;
-  crawl.retry.max_retries = 2;
+  crawl.max_visit_retries = 2;
   auto result =
       core::RunCrawl(framework, *browser::FindSpec("Yandex"), sites, crawl);
 

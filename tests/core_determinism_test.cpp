@@ -89,10 +89,13 @@ TEST(Determinism, RepeatedCrawlsAreBitIdentical) {
 // The fleet's seed derivation is part of the determinism contract: a
 // change here re-seeds every sharded campaign, so it must be explicit.
 TEST(Determinism, JobSeedDerivationIsPinned) {
-  EXPECT_EQ(DeriveJobSeed(kPaperSeed, "Yandex", CampaignKind::kCrawl, 0),
-            8379929806318620680ull);
-  EXPECT_EQ(DeriveJobSeed(kPaperSeed, "Opera", CampaignKind::kIdle, 2),
-            15057783577856798029ull);
+  const FleetJob yandex{.spec = *browser::FindSpec("Yandex"),
+                        .kind = CampaignKind::kCrawl};
+  const FleetJob opera{.spec = *browser::FindSpec("Opera"),
+                       .kind = CampaignKind::kIdle,
+                       .shard = 2};
+  EXPECT_EQ(DeriveJobSeed(kPaperSeed, yandex), 8379929806318620680ull);
+  EXPECT_EQ(DeriveJobSeed(kPaperSeed, opera), 15057783577856798029ull);
 }
 
 // ---------------------------------------------------------------------------

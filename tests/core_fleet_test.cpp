@@ -39,14 +39,19 @@ IdleOptions ShortIdle() {
 }
 
 TEST(FleetSeed, DependsOnEveryIdentityComponent) {
-  uint64_t base = DeriveJobSeed(1, "Yandex", CampaignKind::kCrawl, 0);
-  EXPECT_NE(base, DeriveJobSeed(2, "Yandex", CampaignKind::kCrawl, 0));
-  EXPECT_NE(base, DeriveJobSeed(1, "Opera", CampaignKind::kCrawl, 0));
-  EXPECT_NE(base,
-            DeriveJobSeed(1, "Yandex", CampaignKind::kIncognitoCrawl, 0));
-  EXPECT_NE(base, DeriveJobSeed(1, "Yandex", CampaignKind::kCrawl, 1));
+  auto seed = [](uint64_t base_seed, const char* name, CampaignKind kind,
+                 int shard) {
+    return DeriveJobSeed(base_seed, FleetJob{.spec = *browser::FindSpec(name),
+                                             .kind = kind,
+                                             .shard = shard});
+  };
+  uint64_t base = seed(1, "Yandex", CampaignKind::kCrawl, 0);
+  EXPECT_NE(base, seed(2, "Yandex", CampaignKind::kCrawl, 0));
+  EXPECT_NE(base, seed(1, "Opera", CampaignKind::kCrawl, 0));
+  EXPECT_NE(base, seed(1, "Yandex", CampaignKind::kIncognitoCrawl, 0));
+  EXPECT_NE(base, seed(1, "Yandex", CampaignKind::kCrawl, 1));
   // And is a pure function of those components.
-  EXPECT_EQ(base, DeriveJobSeed(1, "Yandex", CampaignKind::kCrawl, 0));
+  EXPECT_EQ(base, seed(1, "Yandex", CampaignKind::kCrawl, 0));
 }
 
 TEST(FleetPlan, CanonicalOrderAndIdleNeverShards) {
@@ -61,6 +66,27 @@ TEST(FleetPlan, CanonicalOrderAndIdleNeverShards) {
   EXPECT_EQ(jobs[3].kind, CampaignKind::kIdle);
   EXPECT_EQ(jobs[3].shard_count, 1);
   EXPECT_EQ(jobs[4].spec.name, "Opera");
+}
+
+// The cohort-less plan forwards to the population plan with no cohorts;
+// both must expand to the same paper-testbed jobs.
+TEST(FleetPlan, EmptyCohortListPlansTheTestbed) {
+  const auto browsers = Browsers({"Yandex", "Opera"});
+  const std::vector<CampaignKind> kinds = {
+      CampaignKind::kCrawl, CampaignKind::kIncognitoCrawl, CampaignKind::kIdle};
+  auto plain = FleetExecutor::PlanCampaign(browsers, kinds, 3);
+  auto empty = FleetExecutor::PlanCampaign(browsers, {}, kinds, 3);
+  ASSERT_EQ(plain.size(), 14u);
+  ASSERT_EQ(empty.size(), plain.size());
+  for (size_t i = 0; i < plain.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(empty[i].spec.name, plain[i].spec.name);
+    EXPECT_EQ(empty[i].kind, plain[i].kind);
+    EXPECT_EQ(empty[i].shard, plain[i].shard);
+    EXPECT_EQ(empty[i].shard_count, plain[i].shard_count);
+    EXPECT_EQ(empty[i].cohort.id, plain[i].cohort.id);
+    EXPECT_TRUE(empty[i].cohort.IsDefault());
+  }
 }
 
 // The acceptance-criteria test: fleet(jobs=4) vs the serial loop,
@@ -213,7 +239,7 @@ TEST(FleetSeed, JobSeedsAreDistinctAcrossThePlan) {
       4);
   std::set<uint64_t> seeds;
   for (const auto& job : jobs) {
-    seeds.insert(DeriveJobSeed(20231024, job.spec.name, job.kind, job.shard));
+    seeds.insert(DeriveJobSeed(20231024, job));
   }
   EXPECT_EQ(seeds.size(), jobs.size());
 }

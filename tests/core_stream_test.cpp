@@ -381,7 +381,7 @@ std::string ReportFor(uint64_t budget, const std::string& spill_dir,
     options.max_job_retries = 1;
   }
   CrawlOptions crawl;
-  crawl.retry.max_retries = chaos != nullptr ? 1 : 0;
+  crawl.max_visit_retries = chaos != nullptr ? 1 : 0;
   crawl.stream.memory_budget_bytes = budget;
   crawl.stream.spill_dir = spill_dir;
   IdleOptions idle;
@@ -492,6 +492,37 @@ TEST(Window, BudgetedWindowMatchesUnboundedIndex) {
   EXPECT_EQ(analysis::WindowReportJson(spec->name, r1.native_index, profile),
             analysis::WindowReportJson(spec->name, r2.native_index, profile));
   EXPECT_GT(r1.native_flows, 0u);
+}
+
+// Idle and window runs share one native monitor: the same length on
+// fresh frameworks captures the same flows and the same index, whether
+// the capture is materialized (idle) or read from the live index
+// (window).
+TEST(Window, MatchesIdleRunOfSameLength) {
+  FrameworkOptions fw;
+  fw.catalog.popular_count = 4;
+  fw.catalog.sensitive_count = 2;
+  for (const char* name : {"Yandex", "Opera", "QQ"}) {
+    SCOPED_TRACE(name);
+    const auto* spec = browser::FindSpec(name);
+    ASSERT_NE(spec, nullptr);
+    IdleOptions idle;
+    idle.duration = util::Duration::Minutes(3);
+    WindowOptions window;
+    window.window = util::Duration::Minutes(3);
+
+    Framework f1(fw);
+    IdleResult idle_result = RunIdle(f1, *spec, idle);
+    Framework f2(fw);
+    WindowResult window_result = RunWindow(f2, *spec, window);
+
+    EXPECT_EQ(idle_result.native_flows->size(), window_result.native_flows);
+    EXPECT_EQ(idle_result.fault_injected_flows,
+              window_result.fault_injected_flows);
+    EXPECT_EQ(IndexBytes(*idle_result.native_index),
+              IndexBytes(window_result.native_index));
+    EXPECT_GT(window_result.native_flows, 0u);
+  }
 }
 
 TEST(SnapshotV5, IngestAndWatchdogRoundTrip) {

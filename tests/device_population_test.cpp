@@ -146,18 +146,21 @@ TEST(Population, FingerprintMovesWithEveryTraitKind) {
 TEST(Population, PaperTestbedFingerprintIsSeedIdentity) {
   using core::CampaignKind;
   using core::DeriveJobSeed;
-  EXPECT_EQ(DeriveJobSeed(kPaperSeed, "Yandex", CampaignKind::kCrawl, 0, 0,
-                          PaperTestbedFingerprint()),
-            8379929806318620680ull);
-  EXPECT_EQ(DeriveJobSeed(kPaperSeed, "Opera", CampaignKind::kIdle, 2, 0,
-                          PaperTestbedFingerprint()),
-            15057783577856798029ull);
+  core::FleetJob yandex{.spec = *browser::FindSpec("Yandex"),
+                        .kind = CampaignKind::kCrawl};
+  yandex.cohort.profile = DeviceProfile::PaperTestbed();
+  ASSERT_EQ(DeviceProfileFingerprint(yandex.cohort.profile),
+            PaperTestbedFingerprint());
+  EXPECT_EQ(DeriveJobSeed(kPaperSeed, yandex), 8379929806318620680ull);
+  core::FleetJob opera{.spec = *browser::FindSpec("Opera"),
+                       .kind = CampaignKind::kIdle,
+                       .shard = 2};
+  opera.cohort.profile = DeviceProfile::PaperTestbed();
+  EXPECT_EQ(DeriveJobSeed(kPaperSeed, opera), 15057783577856798029ull);
 
-  auto other = DeviceProfile::PaperTestbed();
-  other.model = "SM-G991B";
-  EXPECT_NE(DeriveJobSeed(kPaperSeed, "Yandex", CampaignKind::kCrawl, 0, 0,
-                          DeviceProfileFingerprint(other)),
-            8379929806318620680ull);
+  core::FleetJob other = yandex;
+  other.cohort.profile.model = "SM-G991B";
+  EXPECT_NE(DeriveJobSeed(kPaperSeed, other), 8379929806318620680ull);
 }
 
 // Cache invalidation: a job whose ONLY difference is the device profile
