@@ -361,7 +361,8 @@ int CmdFleet(const util::Args& args) {
   // Rolling-window mode (--window): one continuous streaming campaign
   // per browser, reported straight from the live incremental index —
   // no fleet executor, no terminal batch pass, memory bounded by the
-  // budget however long the window runs.
+  // budget however long the window runs. Every browser crawls the run's
+  // one FleetCatalog, as fleet jobs do.
   if (int64_t window_seconds = args.IntOptionOr("window", 0);
       window_seconds > 0) {
     core::WindowOptions window_options;
@@ -373,15 +374,15 @@ int CmdFleet(const util::Args& args) {
     obs::Journal run_journal;
     std::string combined = "{\"results\":[";
     bool first = true;
+    auto catalog = core::FleetCatalog(options);
     for (const auto& spec : browsers) {
       core::FrameworkOptions fw = options.framework;
-      fw.catalog_seed = options.base_seed;
       fw.seed = core::DeriveJobSeed(
           options.base_seed,
           core::FleetJob{.spec = spec, .kind = core::CampaignKind::kIdle});
       obs::Journal job_journal;
       if (window_journal_path) fw.journal = &job_journal;
-      core::Framework framework(fw);
+      core::Framework framework(fw, catalog);
       auto result = core::RunWindow(framework, spec, window_options);
       std::printf(
           "%s window %llds: %llu native requests, %llu shed, %llu spill "

@@ -22,77 +22,63 @@ bool BrowserAuditReport::ContactsNonEu() const {
   return false;
 }
 
-BrowserAuditReport AuditBrowser(core::Framework& framework,
-                                const browser::BrowserSpec& spec,
-                                const std::vector<const web::Site*>& sites,
+BrowserAuditReport AuditBrowser(const core::FleetJobResult& result,
+                                const web::SiteCatalog& catalog,
                                 const HostsList& hosts_list,
                                 const GeoIpDb& geo, int analysis_jobs) {
+  const browser::BrowserSpec& spec = result.job.spec;
+  const core::CrawlResult& crawl = *result.crawl;
   BrowserAuditReport report;
   report.browser = spec.name;
   report.version = spec.version;
-  report.sites_visited = sites.size();
+  report.sites_visited = crawl.visits.size();
+  report.stack = crawl.stack_stats;
 
-  core::CrawlOptions crawl_options;
-  crawl_options.compact_engine_store = false;  // Referer analysis
-  auto result = core::RunCrawl(framework, spec, sites, crawl_options);
-  report.stack = result.stack_stats;
-
-  // RunCrawl indexed both stores at capture end; every analysis below
+  // The crawl indexed both stores at capture end; every analysis below
   // consumes the pre-parsed columns instead of rescanning the flows.
   // The analyzers are independent — each reads the frozen (stores,
   // indexes) pair and writes its own report field — so the battery may
   // run them concurrently without changing a byte of output.
-  PiiScanner scanner(framework.device().profile());
+  PiiScanner scanner(result.job.cohort.profile);
 
   std::vector<net::Url> visited;
-  visited.reserve(sites.size());
-  for (const auto* site : sites) visited.push_back(site->landing_url);
+  visited.reserve(catalog.sites().size());
+  for (const auto& site : catalog.sites()) visited.push_back(site.landing_url);
   HistoryLeakDetector detector(std::move(visited));
 
   AnalysisBattery battery(analysis_jobs);
-  // Observatory: per-analyzer events land in the framework's journal
-  // (when fleet journaling is on), stamped at the frozen post-crawl
-  // simulated clock. Counted tasks report their finding counts.
-  battery.SetJournal(framework.journal(), framework.clock().Now().millis);
   battery.Add("battery.stats.requests", [&] {
-    report.requests = ComputeRequestStats(result);
+    report.requests = ComputeRequestStats(crawl);
   });
   battery.Add("battery.stats.volume", [&] {
-    report.volume = ComputeVolumeStats(result);
+    report.volume = ComputeVolumeStats(crawl);
   });
-  battery.AddCounted("battery.stats.domains", [&]() -> int64_t {
+  battery.Add("battery.stats.domains", [&] {
     report.domains =
-        ComputeDomainStats(result, VendorDomainsFor(spec.name), hosts_list);
-    return static_cast<int64_t>(report.domains.ad_related_hosts);
+        ComputeDomainStats(crawl, VendorDomainsFor(spec.name), hosts_list);
   });
-  battery.AddCounted("battery.pii", [&]() -> int64_t {
-    report.pii = scanner.Scan(*result.native_index);
-    return static_cast<int64_t>(report.pii.LeakCount());
+  battery.Add("battery.pii", [&] {
+    report.pii = scanner.Scan(*crawl.native_index);
   });
-  battery.AddCounted("battery.history.native", [&]() -> int64_t {
+  battery.Add("battery.history.native", [&] {
     report.native_leaks =
-        detector.Scan(*result.native_flows, *result.native_index);
-    return static_cast<int64_t>(report.native_leaks.size());
+        detector.Scan(*crawl.native_flows, *crawl.native_index);
   });
-  battery.AddCounted("battery.history.engine", [&]() -> int64_t {
+  battery.Add("battery.history.engine", [&] {
     report.engine_leaks =
-        detector.Scan(*result.engine_flows, *result.engine_index, true);
-    return static_cast<int64_t>(report.engine_leaks.size());
+        detector.Scan(*crawl.engine_flows, *crawl.engine_index, true);
   });
-  battery.AddCounted("battery.geo", [&]() -> int64_t {
-    report.countries = CountriesContacted(*result.native_index, geo);
-    return static_cast<int64_t>(report.countries.size());
+  battery.Add("battery.geo", [&] {
+    report.countries = CountriesContacted(*crawl.native_index, geo);
   });
-  battery.AddCounted("battery.referer", [&]() -> int64_t {
+  battery.Add("battery.referer", [&] {
     report.referer =
-        AnalyzeRefererLeakage(*result.engine_flows, *result.engine_index);
-    return static_cast<int64_t>(report.referer.leaking_requests);
+        AnalyzeRefererLeakage(*crawl.engine_flows, *crawl.engine_index);
   });
-  battery.AddCounted("battery.uid_smuggling", [&]() -> int64_t {
-    report.smuggling = AnalyzeUidSmuggling(
-        *result.engine_flows, *result.engine_index, *result.native_flows,
-        *result.native_index);
-    return static_cast<int64_t>(report.smuggling.findings.size());
+  battery.Add("battery.uid_smuggling", [&] {
+    report.smuggling =
+        AnalyzeUidSmuggling(*crawl.engine_flows, *crawl.engine_index,
+                            *crawl.native_flows, *crawl.native_index);
   });
   battery.Run();
   return report;

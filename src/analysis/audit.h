@@ -1,5 +1,5 @@
 // One-call browser audit: everything the paper measures about a
-// browser, gathered from a single crawl into one structure, plus a
+// browser, gathered from a single fleet crawl into one structure, plus a
 // Markdown renderer. This is the API a downstream adopter (regulator,
 // vendor QA, researcher) calls; the bench binaries print the same
 // numbers figure by figure.
@@ -15,9 +15,8 @@
 #include "analysis/referer.h"
 #include "analysis/stats.h"
 #include "analysis/uid_smuggling.h"
-#include "browser/spec.h"
-#include "core/campaign.h"
-#include "core/framework.h"
+#include "core/fleet.h"
+#include "web/catalog.h"
 
 namespace panoptes::analysis {
 
@@ -41,14 +40,15 @@ struct BrowserAuditReport {
   bool ContactsNonEu() const;
 };
 
-// Crawls `sites` with `spec` and assembles the report. Uses the
-// framework's device profile for the PII scan and its geo plan for the
-// country analysis. `analysis_jobs` sets the analyzer battery's worker
-// count (analysis/battery.h); any value produces byte-identical
-// reports — 1 (the default) runs the analyzers serially.
-BrowserAuditReport AuditBrowser(core::Framework& framework,
-                                const browser::BrowserSpec& spec,
-                                const std::vector<const web::Site*>& sites,
+// Assembles the report from a crawl job's fleet result (run it with
+// CrawlOptions::compact_engine_store off: the Referer analysis reads
+// engine headers). `catalog` is the run's web (core::FleetCatalog),
+// whose landing pages the history-leak scan looks for; the PII scan
+// uses the job's device profile. `analysis_jobs` sets the analyzer
+// battery's worker count (analysis/battery.h); any value produces
+// byte-identical reports — 1 (the default) runs the analyzers serially.
+BrowserAuditReport AuditBrowser(const core::FleetJobResult& result,
+                                const web::SiteCatalog& catalog,
                                 const HostsList& hosts_list,
                                 const GeoIpDb& geo, int analysis_jobs = 1);
 

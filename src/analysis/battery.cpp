@@ -4,23 +4,12 @@
 #include <thread>
 #include <utility>
 
-#include "obs/journal.h"
 #include "obs/tracer.h"
 
 namespace panoptes::analysis {
 
 void AnalysisBattery::Add(std::string name, std::function<void()> fn) {
-  tasks_.push_back(Task{std::move(name), std::move(fn), {}});
-}
-
-void AnalysisBattery::AddCounted(std::string name,
-                                 std::function<int64_t()> fn) {
-  tasks_.push_back(Task{std::move(name), {}, std::move(fn)});
-}
-
-void AnalysisBattery::SetJournal(obs::Journal* journal, int64_t sim_millis) {
-  journal_ = journal;
-  journal_millis_ = sim_millis;
+  tasks_.push_back(Task{std::move(name), std::move(fn)});
 }
 
 void AnalysisBattery::Run() {
@@ -28,17 +17,10 @@ void AnalysisBattery::Run() {
   span.Arg("tasks", static_cast<int64_t>(tasks_.size()));
   span.Arg("jobs", static_cast<int64_t>(jobs_));
 
-  // Each task writes only its own slot, so workers never contend and
-  // the counts come out identical under any schedule.
-  std::vector<int64_t> counts(tasks_.size(), -1);
-  auto run_task = [&counts, this](size_t i) {
+  auto run_task = [this](size_t i) {
     const Task& task = tasks_[i];
     obs::ScopedSpan task_span(task.name, "battery");
-    if (task.counted_fn) {
-      counts[i] = task.counted_fn();
-    } else {
-      task.fn();
-    }
+    task.fn();
   };
 
   if (jobs_ <= 1 || tasks_.size() <= 1) {
@@ -64,18 +46,6 @@ void AnalysisBattery::Run() {
     for (size_t i = 0; i < extra; ++i) threads.emplace_back(worker);
     worker();
     for (std::thread& thread : threads) thread.join();
-  }
-
-  // Emit after the barrier, in registration order, so the journal is
-  // byte-identical at any `jobs_` (worker emission would interleave).
-  if (journal_ != nullptr) {
-    for (size_t i = 0; i < tasks_.size(); ++i) {
-      journal_->Emit(journal_millis_, "battery", "analyzer_begin")
-          .Str("name", tasks_[i].name);
-      auto end = journal_->Emit(journal_millis_, "battery", "analyzer_end");
-      end.Str("name", tasks_[i].name);
-      if (counts[i] >= 0) end.Num("findings", counts[i]);
-    }
   }
 }
 

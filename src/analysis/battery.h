@@ -15,14 +15,9 @@
 // per-analyzer wall time whichever thread ran it.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
-
-namespace panoptes::obs {
-class Journal;
-}  // namespace panoptes::obs
 
 namespace panoptes::analysis {
 
@@ -38,21 +33,6 @@ class AnalysisBattery {
   // inputs they share must stay unmutated for the battery's lifetime.
   void Add(std::string name, std::function<void()> fn);
 
-  // Counted form: the task returns its finding count, reported in the
-  // journal's per-analyzer end event. Plain Add() tasks report -1
-  // (count not applicable).
-  void AddCounted(std::string name, std::function<int64_t()> fn);
-
-  // Observatory (strictly additive — results are byte-identical with
-  // or without it). The battery runs tasks concurrently, so rather
-  // than emitting from worker threads it records each task's finding
-  // count into a private slot and, once Run() completes, emits one
-  // analyzer_begin/analyzer_end pair per task in registration order,
-  // all stamped at `sim_millis` (the audit's frozen simulated clock —
-  // wall time is scheduling-dependent and must never reach the
-  // journal). Null disables.
-  void SetJournal(obs::Journal* journal, int64_t sim_millis);
-
   // Runs every registered task exactly once and returns when all are
   // done. May be called once per battery.
   void Run();
@@ -62,14 +42,11 @@ class AnalysisBattery {
  private:
   struct Task {
     std::string name;
-    std::function<void()> fn;        // exactly one of fn/counted_fn set
-    std::function<int64_t()> counted_fn;
+    std::function<void()> fn;
   };
 
   int jobs_;
   std::vector<Task> tasks_;
-  obs::Journal* journal_ = nullptr;  // not owned
-  int64_t journal_millis_ = 0;
 };
 
 }  // namespace panoptes::analysis

@@ -1,12 +1,14 @@
 #include "analysis/manifest.h"
 
+#include <cmath>
+#include <limits>
+
 #include "analysis/flow_index.h"
 #include "analysis/historyleak.h"
 #include "analysis/pii.h"
 #include "analysis/stats.h"
 #include "browser/profiles.h"
-#include "core/campaign.h"
-#include "core/framework.h"
+#include "core/fleet.h"
 #include "util/json.h"
 
 namespace panoptes::analysis {
@@ -23,6 +25,24 @@ std::optional<ManifestMode> ParseMode(std::string_view name) {
   return std::nullopt;
 }
 
+// Reads the optional number `key` of `object` into `*out`. False when
+// it is not an integer in [lo, hi]: a plain cast would truncate a
+// fraction silently, and is undefined behaviour out of range.
+template <typename T>
+bool ReadInteger(const util::Json& object, std::string_view key, int64_t lo,
+                 int64_t hi, T* out) {
+  const auto* field = object.Find(key);
+  if (field == nullptr || !field->is_number()) return true;
+  double value = field->as_number();
+  if (!(value >= static_cast<double>(lo) &&
+        value <= static_cast<double>(hi)) ||
+      std::trunc(value) != value) {
+    return false;
+  }
+  *out = static_cast<T>(value);
+  return true;
+}
+
 }  // namespace
 
 std::optional<Manifest> Manifest::FromJson(std::string_view text) {
@@ -30,22 +50,19 @@ std::optional<Manifest> Manifest::FromJson(std::string_view text) {
   if (!json || !json->is_object()) return std::nullopt;
 
   Manifest manifest;
-  if (const auto* seed = json->Find("seed");
-      seed != nullptr && seed->is_number()) {
-    manifest.seed = static_cast<uint64_t>(seed->as_number());
-  }
-  if (const auto* popular = json->Find("popular_sites");
-      popular != nullptr && popular->is_number()) {
-    manifest.popular_sites = static_cast<int>(popular->as_number());
-  }
-  if (const auto* sensitive = json->Find("sensitive_sites");
-      sensitive != nullptr && sensitive->is_number()) {
-    manifest.sensitive_sites = static_cast<int>(sensitive->as_number());
-  }
-  if (manifest.popular_sites < 0 || manifest.sensitive_sites < 0 ||
-      manifest.popular_sites + manifest.sensitive_sites == 0) {
+  // Seeds stop at 2^53, the last integer a JSON number (a double) holds
+  // exactly, so ToJson round-trips every accepted seed.
+  constexpr int64_t kMaxSites = std::numeric_limits<int>::max();
+  if (!ReadInteger(*json, "seed", 0, int64_t{1} << 53, &manifest.seed) ||
+      !ReadInteger(*json, "popular_sites", 0, kMaxSites,
+                   &manifest.popular_sites) ||
+      !ReadInteger(*json, "sensitive_sites", 0, kMaxSites,
+                   &manifest.sensitive_sites)) {
     return std::nullopt;
   }
+  const int64_t sites =
+      int64_t{manifest.popular_sites} + manifest.sensitive_sites;
+  if (sites == 0 || sites > kMaxSites) return std::nullopt;
 
   const auto* entries = json->Find("entries");
   if (entries == nullptr || !entries->is_array() ||
@@ -70,10 +87,11 @@ std::optional<Manifest> Manifest::FromJson(std::string_view text) {
         incognito != nullptr && incognito->is_bool()) {
       entry.incognito = incognito->as_bool();
     }
-    if (const auto* minutes = item.Find("idle_minutes");
-        minutes != nullptr && minutes->is_number()) {
-      entry.idle_minutes = static_cast<int64_t>(minutes->as_number());
-      if (entry.idle_minutes <= 0) return std::nullopt;
+    // At most the minutes a util::Duration (int64 milliseconds) holds.
+    if (!ReadInteger(item, "idle_minutes", 1,
+                     std::numeric_limits<int64_t>::max() / 60000,
+                     &entry.idle_minutes)) {
+      return std::nullopt;
     }
     manifest.entries.push_back(std::move(entry));
   }
@@ -94,7 +112,7 @@ std::string Manifest::ToJson() const {
     if (entry.mode == ManifestMode::kIdle) {
       object["idle_minutes"] = entry.idle_minutes;
     }
-    entry_array.push_back(util::Json(std::move(object)));
+    entry_array.emplace_back(std::move(object));
   }
   root["entries"] = std::move(entry_array);
   return util::Json(std::move(root)).Dump();
@@ -116,7 +134,7 @@ std::string ManifestResult::ToJson() const {
     object["host_only_leak_destinations"] =
         static_cast<int64_t>(result.host_only_leak_destinations);
     object["pii_fields"] = static_cast<int64_t>(result.pii_fields);
-    array.push_back(util::Json(std::move(object)));
+    array.emplace_back(std::move(object));
   }
   util::JsonObject root;
   root["results"] = std::move(array);
@@ -124,31 +142,39 @@ std::string ManifestResult::ToJson() const {
 }
 
 ManifestResult RunManifest(const Manifest& manifest) {
-  core::FrameworkOptions options;
-  options.seed = manifest.seed;
-  options.catalog.popular_count = manifest.popular_sites;
-  options.catalog.sensitive_count = manifest.sensitive_sites;
-  core::Framework framework(options);
+  core::FleetOptions options;
+  options.base_seed = manifest.seed;
+  options.framework.catalog.popular_count = manifest.popular_sites;
+  options.framework.catalog.sensitive_count = manifest.sensitive_sites;
 
-  std::vector<const web::Site*> sites;
+  std::vector<core::FleetJob> jobs;
+  for (const auto& entry : manifest.entries) {
+    core::FleetJob& job = jobs.emplace_back();
+    job.spec = *browser::FindSpec(entry.browser);
+    if (entry.mode == ManifestMode::kIdle) {
+      job.kind = core::CampaignKind::kIdle;
+      job.idle.duration = util::Duration::Minutes(entry.idle_minutes);
+    } else if (entry.incognito) {
+      job.kind = core::CampaignKind::kIncognitoCrawl;
+    }
+  }
+  auto results = core::FleetExecutor(options).Run(jobs);
+
   std::vector<net::Url> visited;
-  for (const auto& site : framework.catalog().sites()) {
-    sites.push_back(&site);
+  for (const auto& site : core::FleetCatalog(options)->sites()) {
     visited.push_back(site.landing_url);
   }
-  HistoryLeakDetector detector(visited);
-  PiiScanner scanner(framework.device().profile());
+  HistoryLeakDetector detector(std::move(visited));
 
   ManifestResult result;
-  for (const auto& entry : manifest.entries) {
-    const auto* spec = browser::FindSpec(entry.browser);
-    ManifestEntryResult entry_result;
-    entry_result.entry = entry;
+  for (size_t i = 0; i < results.size(); ++i) {
+    const core::FleetJobResult& job_result = results[i];
+    ManifestEntryResult& entry_result = result.entries.emplace_back();
+    entry_result.entry = manifest.entries[i];
+    PiiScanner scanner(job_result.job.cohort.profile);
 
-    if (entry.mode == ManifestMode::kCrawl) {
-      core::CrawlOptions crawl_options;
-      crawl_options.incognito = entry.incognito;
-      auto crawl = core::RunCrawl(framework, *spec, sites, crawl_options);
+    if (job_result.crawl.has_value()) {
+      const core::CrawlResult& crawl = *job_result.crawl;
       entry_result.incognito_effective = crawl.incognito_effective;
       entry_result.engine_requests = crawl.engine_flows->size();
       entry_result.native_requests = crawl.native_flows->size();
@@ -166,14 +192,11 @@ ManifestResult RunManifest(const Manifest& manifest) {
       }
       entry_result.pii_fields = scanner.Scan(*crawl.native_index).LeakCount();
     } else {
-      core::IdleOptions idle_options;
-      idle_options.duration = util::Duration::Minutes(entry.idle_minutes);
-      auto idle = core::RunIdle(framework, *spec, idle_options);
+      const core::IdleResult& idle = *job_result.idle;
       entry_result.native_requests = idle.native_flows->size();
       entry_result.native_ratio = 1.0;  // idle traffic is all native
       entry_result.pii_fields = scanner.Scan(*idle.native_index).LeakCount();
     }
-    result.entries.push_back(std::move(entry_result));
   }
   return result;
 }

@@ -55,8 +55,9 @@ struct ManifestResult {
   std::string ToJson() const;
 };
 
-// Builds a fresh framework from the manifest's dataset parameters and
-// executes every entry in order.
+// Plans each entry as one FleetJob (crawl, incognito crawl or idle) and
+// runs the plan through a default core::FleetExecutor with the
+// manifest's seed as base seed and its site counts as the catalog.
 ManifestResult RunManifest(const Manifest& manifest);
 
 }  // namespace panoptes::analysis

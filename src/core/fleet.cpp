@@ -115,15 +115,14 @@ obs::Journal::EventRef EmitJobEvent(obs::Journal& journal, int64_t sim_millis,
 
 }  // namespace
 
-// The catalog every job of one run crawls. Built lazily, once, by the
-// first job that executes — an all-hits cache replay builds none — and
-// then shared read-only. Every job's framework options carry the same
-// catalog seed and options, so which worker builds it cannot change a
-// byte.
+// The run's FleetCatalog. Built lazily, once, by the first job that
+// executes — an all-hits cache replay builds none — and then shared
+// read-only. It depends on the run's options only, so which worker
+// builds it cannot change a byte.
 class FleetExecutor::SharedWeb {
  public:
-  std::shared_ptr<const web::SiteCatalog> Get(const FrameworkOptions& job) {
-    std::call_once(built_, [&] { catalog_ = GenerateCatalog(job); });
+  std::shared_ptr<const web::SiteCatalog> Get(const FleetOptions& options) {
+    std::call_once(built_, [&] { catalog_ = FleetCatalog(options); });
     return catalog_;
   }
 
@@ -148,6 +147,13 @@ std::string_view CampaignKindName(CampaignKind kind) {
     case CampaignKind::kIdle: return "idle";
   }
   return "?";
+}
+
+std::shared_ptr<const web::SiteCatalog> FleetCatalog(
+    const FleetOptions& options) {
+  return std::make_shared<const web::SiteCatalog>(web::SiteCatalog::Generate(
+      options.framework.catalog_seed.value_or(options.base_seed),
+      options.framework.catalog));
 }
 
 uint64_t DeriveJobSeed(uint64_t base_seed, const FleetJob& job, int attempt) {
@@ -241,10 +247,6 @@ FleetJobResult FleetExecutor::ExecuteJob(const FleetJob& job, int attempt,
   // The job's framework simulates the cohort's device — PII payloads,
   // cadence and endpoints all key off these traits.
   fw.device_profile = job.cohort.profile;
-  // All jobs crawl the same generated web (the run's SharedWeb); only
-  // the runtime streams (browser jitter, tokens, idle cadence) differ
-  // per job.
-  if (!fw.catalog_seed.has_value()) fw.catalog_seed = options_.base_seed;
   out.seed = fw.seed;
   // Every capture layer of this job's private framework reports into
   // the per-job journal. Event times are simulated, identity fields
@@ -263,7 +265,9 @@ FleetJobResult FleetExecutor::ExecuteJob(const FleetJob& job, int attempt,
           .Str("device", job.cohort.profile.model);
     }
   }
-  Framework framework(fw, web.Get(fw));
+  // All jobs crawl the run's one generated web; only the runtime
+  // streams (browser jitter, tokens, idle cadence) differ per job.
+  Framework framework(fw, web.Get(options_));
 
   if (job.kind == CampaignKind::kIdle) {
     IdleOptions idle = job.idle;

@@ -123,6 +123,14 @@ struct FleetOptions {
   bool journal = false;
 };
 
+// The generated web every job of a fleet run crawls:
+// SiteCatalog::Generate(framework.catalog_seed.value_or(base_seed),
+// framework.catalog). The catalog seed defaults to the base seed, so
+// all jobs and shards see the same web while their derived job seeds
+// keep the runtime streams apart.
+std::shared_ptr<const web::SiteCatalog> FleetCatalog(
+    const FleetOptions& options);
+
 // Wall-clock accounting for one Run/RunSerial call. Telemetry only —
 // timings are steady-clock and scheduling-dependent, so none of this
 // may ever flow into an exported report (determinism contract).

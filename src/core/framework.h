@@ -40,9 +40,10 @@ struct FrameworkOptions {
   // request cadence and vendor endpoints the browsers produce.
   device::DeviceProfile device_profile = device::DeviceProfile::PaperTestbed();
   // When set, the generated web (site catalog) draws from this seed
-  // instead of `seed`. Fleet jobs set it to the campaign's base seed so
-  // every shard of a sharded crawl sees the *same* web while their
-  // runtime streams (derived per-job seeds) stay decorrelated.
+  // instead of `seed`. A fleet run's web (core::FleetCatalog) draws
+  // from it too, defaulting to the run's base seed, so every shard of
+  // a sharded crawl sees the *same* web while their runtime streams
+  // (derived per-job seeds) stay decorrelated.
   std::optional<uint64_t> catalog_seed;
   web::CatalogOptions catalog;
   // Per-exchange simulated latency (used when use_geo_latency is off).
@@ -62,7 +63,7 @@ struct FrameworkOptions {
   // identical fault timelines.
   chaos::FaultProfile chaos;
   // Observatory journal this framework's layers (proxy, chaos, flow
-  // stores, campaigns, battery) emit structured events into. Not owned;
+  // stores, campaigns) emit structured events into. Not owned;
   // must outlive the framework. Null disables journaling — strictly
   // additive either way, no report byte depends on it. The fleet wires
   // one private journal per job here.
@@ -77,8 +78,8 @@ std::shared_ptr<const web::SiteCatalog> GenerateCatalog(
 class Framework {
  public:
   // Builds the testbed on `catalog` when given: a fleet run shares one
-  // read-only catalog across its jobs, which must equal
-  // GenerateCatalog(options). Otherwise the framework generates its own.
+  // read-only catalog (core::FleetCatalog) across its jobs. Otherwise
+  // the framework generates its own, GenerateCatalog(options).
   explicit Framework(FrameworkOptions options = {},
                      std::shared_ptr<const web::SiteCatalog> catalog = nullptr);
 

@@ -98,9 +98,9 @@ void MixBrowserSpec(FingerprintHasher& h, const browser::BrowserSpec& spec) {
 
 void MixFramework(FingerprintHasher& h, const FleetOptions& options) {
   const FrameworkOptions& fw = options.framework;
-  // The catalog the job sees derives from catalog_seed when set, else
-  // from the per-job seed the executor assigns; fleet runs always pin
-  // it to base_seed, and base_seed already feeds the derived job seed.
+  // The catalog the job sees is the run's FleetCatalog: from
+  // catalog_seed when set, else from base_seed, which already feeds
+  // the derived job seed.
   h.Mix(fw.catalog_seed.has_value());
   if (fw.catalog_seed.has_value()) h.Mix(*fw.catalog_seed);
   h.Mix(static_cast<int64_t>(fw.catalog.popular_count));

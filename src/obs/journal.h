@@ -1,10 +1,9 @@
 // Run observatory: append-only structured event journal.
 //
 // Every layer of a fleet run — executor, campaign, chaos injector,
-// proxy, flow store, analysis battery — can emit JournalEvents
-// describing what happened: jobs starting and retrying, visits
-// degrading, faults firing, flows opening and being persisted,
-// analyzers producing findings. The journal is the audit trail that
+// proxy, flow store — can emit JournalEvents describing what happened:
+// jobs starting and retrying, visits degrading, faults firing, flows
+// opening and being persisted. The journal is the audit trail that
 // lets `panoptes_cli explain` walk a finding back to the exact flow,
 // visit, attempt, and fault that produced it.
 //

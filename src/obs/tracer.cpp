@@ -165,7 +165,7 @@ std::string Tracer::ChromeTraceJson() const {
       for (const auto& [key, value] : event.args) args[key] = value;
       entry["args"] = std::move(args);
     }
-    trace_events.push_back(util::Json(std::move(entry)));
+    trace_events.emplace_back(std::move(entry));
   }
   util::JsonObject root;
   root["traceEvents"] = std::move(trace_events);

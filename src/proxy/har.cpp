@@ -16,7 +16,7 @@ util::Json EntryFor(const FlowView& flow) {
     util::JsonObject header;
     header["name"] = std::string(name);
     header["value"] = std::string(value);
-    headers.push_back(util::Json(std::move(header)));
+    headers.emplace_back(std::move(header));
   }
   request["headers"] = std::move(headers);
   if (!flow.request_body.empty()) {

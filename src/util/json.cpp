@@ -222,7 +222,9 @@ class Parser {
     if (!Consume('{')) return std::nullopt;
     JsonObject obj;
     SkipWs();
-    if (Consume('}')) return Json(std::move(obj));
+    if (Consume('}')) {
+      return std::optional<Json>(std::in_place, std::move(obj));
+    }
     while (true) {
       SkipWs();
       auto key = ParseString();
@@ -233,7 +235,9 @@ class Parser {
       if (!v) return std::nullopt;
       obj[std::move(*key)] = std::move(*v);
       SkipWs();
-      if (Consume('}')) return Json(std::move(obj));
+      if (Consume('}')) {
+        return std::optional<Json>(std::in_place, std::move(obj));
+      }
       if (!Consume(',')) return std::nullopt;
     }
   }

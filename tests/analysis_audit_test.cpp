@@ -3,32 +3,34 @@
 #include <gtest/gtest.h>
 
 #include "browser/profiles.h"
+#include "vendors/geo_plan.h"
 
 namespace panoptes::analysis {
 namespace {
 
+core::FleetOptions AuditOptions() {
+  core::FleetOptions options;
+  options.framework.catalog.popular_count = 6;
+  options.framework.catalog.sensitive_count = 2;
+  return options;
+}
+
 class AuditTest : public ::testing::Test {
  protected:
-  AuditTest() : hosts_list_(HostsList::Default()) {
-    core::FrameworkOptions options;
-    options.catalog.popular_count = 6;
-    options.catalog.sensitive_count = 2;
-    framework_ = std::make_unique<core::Framework>(options);
-    geo_ = GeoIpDb(framework_->geo_plan().ranges());
-    for (const auto& site : framework_->catalog().sites()) {
-      sites_.push_back(&site);
-    }
-  }
-
+  // Audits a one-job fleet crawl of the fixture's catalog.
   BrowserAuditReport Audit(const char* name) {
-    return AuditBrowser(*framework_, *browser::FindSpec(name), sites_,
-                        hosts_list_, geo_);
+    core::FleetJob job{.spec = *browser::FindSpec(name)};
+    job.crawl.compact_engine_store = false;
+    auto results = core::FleetExecutor(options_).Run({job});
+    return AuditBrowser(results.front(), *catalog_, hosts_list_, geo_);
   }
 
-  std::unique_ptr<core::Framework> framework_;
-  HostsList hosts_list_;
-  GeoIpDb geo_;
-  std::vector<const web::Site*> sites_;
+  core::FleetOptions options_ = AuditOptions();
+  std::shared_ptr<const web::SiteCatalog> catalog_ =
+      core::FleetCatalog(options_);
+  const std::vector<web::Site>& sites_ = catalog_->sites();
+  HostsList hosts_list_ = HostsList::Default();
+  GeoIpDb geo_{vendors::GeoPlan::Default().ranges()};
 };
 
 TEST_F(AuditTest, YandexAuditIsSelfConsistent) {

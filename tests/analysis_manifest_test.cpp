@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/export.h"
+#include "browser/profiles.h"
+#include "core/fleet.h"
 #include "util/json.h"
 
 namespace panoptes::analysis {
@@ -62,6 +65,29 @@ TEST(ManifestParse, RejectsBadInput) {
       Manifest::FromJson(
           R"({"entries":[{"browser":"Opera","mode":"idle","idle_minutes":0}]})")
           .has_value());
+  // Numbers must be integers that fit their field: no truncation, no
+  // out-of-range cast.
+  for (const char* bad : {
+           R"({"seed":1e20,"entries":[{"browser":"Edge"}]})",
+           R"({"seed":-3,"entries":[{"browser":"Edge"}]})",
+           R"({"seed":9007199254740994,"entries":[{"browser":"Edge"}]})",
+           R"({"popular_sites":2.7,"entries":[{"browser":"Edge"}]})",
+           R"({"sensitive_sites":1e10,"entries":[{"browser":"Edge"}]})",
+           R"({"popular_sites":2147483647,"sensitive_sites":1,
+               "entries":[{"browser":"Edge"}]})",
+           R"({"entries":[{"browser":"Opera","mode":"idle",
+                           "idle_minutes":1.9}]})",
+           R"({"entries":[{"browser":"Opera","mode":"idle",
+                           "idle_minutes":1e300}]})",
+       }) {
+    EXPECT_FALSE(Manifest::FromJson(bad).has_value()) << bad;
+  }
+  // The largest accepted seed round-trips exactly.
+  auto top = Manifest::FromJson(
+      R"({"seed":9007199254740992,"entries":[{"browser":"Edge"}]})");
+  ASSERT_TRUE(top.has_value());
+  EXPECT_EQ(top->seed, uint64_t{1} << 53);
+  EXPECT_EQ(Manifest::FromJson(top->ToJson())->seed, top->seed);
 }
 
 TEST(ManifestRun, ExecutesCrawlAndIdleEntries) {
@@ -90,6 +116,51 @@ TEST(ManifestRun, ExecutesCrawlAndIdleEntries) {
   auto json = util::Json::Parse(result.ToJson());
   ASSERT_TRUE(json.has_value());
   EXPECT_EQ(json->Find("results")->as_array().size(), 3u);
+}
+
+// run-manifest is a front end to the fleet: each entry runs as the one
+// FleetJob it describes, so the fleet report of the same plan carries
+// the same counts.
+TEST(ManifestRun, MatchesFleetForSamePlan) {
+  auto manifest = Manifest::FromJson(kManifestJson);
+  ASSERT_TRUE(manifest.has_value());
+  auto result = RunManifest(*manifest);
+
+  core::FleetOptions options;
+  options.base_seed = 7;
+  options.framework.catalog.popular_count = 4;
+  options.framework.catalog.sensitive_count = 2;
+  core::FleetJob opera_idle{.spec = *browser::FindSpec("Opera"),
+                            .kind = core::CampaignKind::kIdle};
+  opera_idle.idle.duration = util::Duration::Minutes(2);
+  std::vector<core::FleetJob> jobs = {
+      {.spec = *browser::FindSpec("Yandex")},
+      {.spec = *browser::FindSpec("Edge"),
+       .kind = core::CampaignKind::kIncognitoCrawl},
+      opera_idle,
+  };
+  auto report = util::Json::Parse(
+      FleetReportJson(core::FleetExecutor(options).Run(jobs)));
+  ASSERT_TRUE(report.has_value());
+  const auto& fleet = report->Find("results")->as_array();
+  ASSERT_EQ(fleet.size(), result.entries.size());
+
+  for (size_t i = 0; i < fleet.size(); ++i) {
+    SCOPED_TRACE(result.entries[i].entry.browser);
+    const ManifestEntryResult& entry = result.entries[i];
+    auto count = [&](const char* key) {
+      const util::Json* field = fleet[i].Find(key);
+      return field == nullptr ? 0 : static_cast<uint64_t>(field->as_number());
+    };
+    EXPECT_EQ(entry.engine_requests, count("engine_requests"));
+    EXPECT_EQ(entry.native_requests, count("native_requests"));
+    EXPECT_EQ(entry.pii_fields,
+              fleet[i].Find("pii_fields")->as_array().size());
+    // Idle entries report no ratio: their traffic is all native.
+    if (const util::Json* ratio = fleet[i].Find("native_ratio")) {
+      EXPECT_EQ(entry.native_ratio, ratio->as_number());
+    }
+  }
 }
 
 }  // namespace

@@ -201,17 +201,17 @@ TEST(Determinism, WarmCacheRunMatchesColdByteForByte) {
 // ---------------------------------------------------------------------------
 
 analysis::BrowserAuditReport AuditAtJobs(int analysis_jobs) {
-  FrameworkOptions options;
-  options.seed = kPaperSeed;
-  options.catalog.popular_count = 5;
-  options.catalog.sensitive_count = 3;
-  Framework framework(options);
-  std::vector<const web::Site*> sites;
-  for (const auto& site : framework.catalog().sites()) sites.push_back(&site);
+  FleetOptions options;
+  options.base_seed = kPaperSeed;
+  options.framework.catalog.popular_count = 5;
+  options.framework.catalog.sensitive_count = 3;
+  FleetJob job{.spec = *browser::FindSpec("Yandex")};
+  job.crawl.compact_engine_store = false;
+  auto results = FleetExecutor(options).Run({job});
   auto hosts_list = analysis::HostsList::Default();
-  analysis::GeoIpDb geo(framework.geo_plan().ranges());
-  return analysis::AuditBrowser(framework, *browser::FindSpec("Yandex"),
-                                sites, hosts_list, geo, analysis_jobs);
+  analysis::GeoIpDb geo(vendors::GeoPlan::Default().ranges());
+  return analysis::AuditBrowser(results.front(), *FleetCatalog(options),
+                                hosts_list, geo, analysis_jobs);
 }
 
 // Canonical JSON over every report field the battery tasks write, so a
@@ -235,7 +235,7 @@ std::string AuditJson(const analysis::BrowserAuditReport& report) {
       entry["host"] = leak.destination_host;
       entry["encoding"] = leak.encoding;
       entry["reports"] = static_cast<uint64_t>(leak.report_count);
-      leaks.push_back(std::move(entry));
+      leaks.emplace_back(std::move(entry));
     }
   }
   object["history_leaks"] = std::move(leaks);
@@ -244,7 +244,7 @@ std::string AuditJson(const analysis::BrowserAuditReport& report) {
     util::JsonObject entry;
     entry["code"] = share.country_code;
     entry["flows"] = static_cast<uint64_t>(share.flows);
-    countries.push_back(std::move(entry));
+    countries.emplace_back(std::move(entry));
   }
   object["countries"] = std::move(countries);
   return util::Json(std::move(object)).Dump();
