@@ -6,13 +6,18 @@
 // interleaves the workers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 
 #include "analysis/export.h"
+#include "analysis/manifest.h"
 #include "analysis/report.h"
 #include "browser/profiles.h"
 #include "core/fleet.h"
+#include "core/run_manifest.h"
+#include "device/population.h"
+#include "util/rng.h"
 
 namespace panoptes::core {
 namespace {
@@ -358,6 +363,64 @@ TEST(FleetSharedWeb, ParallelMatchesSerialUnderChaosRetries) {
   }
   EXPECT_GT(retried, 0);
   EXPECT_EQ(AllReports(std::move(parallel)), AllReports(std::move(serial)));
+}
+
+// Golden bytes of every fleet renderer and of both manifests, over a
+// plan that crosses every campaign kind with device cohorts and the
+// UID-smuggling web: the perfbench pins cover neither cohorts with idle
+// or incognito runs nor the smuggling CSV, the table or run-manifest.
+TEST(FleetReports, GoldenBytesAcrossKindsAndCohorts) {
+  FleetOptions options = TinyFleet(2);
+  options.framework.catalog.sitegen.bounce_fraction = 0.3;
+  options.framework.catalog.sitegen.decoration_fraction = 0.3;
+  device::PopulationOptions population;
+  population.size = 2;
+  struct Golden {
+    uint64_t json, csv, smuggling_json, smuggling_csv, table, manifest;
+  };
+  const Golden goldens[] = {
+      {0xa4c3700d5f081f05ull, 0xc019abc9a7b63703ull,
+       0x242e25b8acace60cull, 0xd36b7ef5c3d168ccull,
+       0x08ff86e70589fdb9ull, 0xfbf2fb6083a15924ull},
+      {0xf76e5106ce8cb576ull, 0x30e1b862107fc610ull,
+       0xc4a6dc7f8bd3a189ull, 0xb1f6a13eede0fdefull,
+       0x66bc9a060f9d84afull, 0x23df940cb106be71ull},
+  };
+  const std::vector<device::DeviceCohort> cohort_plans[] = {
+      {}, device::PopulationGenerator::Generate(population)};
+  for (size_t plan = 0; plan < 2; ++plan) {
+    SCOPED_TRACE(plan == 0 ? "testbed" : "cohorts");
+    auto jobs = FleetExecutor::PlanCampaign(
+        Browsers({"Yandex", "DuckDuckGo"}), cohort_plans[plan],
+        {CampaignKind::kCrawl, CampaignKind::kIncognitoCrawl,
+         CampaignKind::kIdle},
+        2, CrawlOptions{}, ShortIdle());
+    auto results = FleetExecutor(options).Run(jobs);
+    std::string manifest = BuildRunManifest(options, results, nullptr).ToJson();
+    auto merged = FleetExecutor::MergeShards(std::move(results));
+    const Golden& golden = goldens[plan];
+    EXPECT_EQ(util::HashString(analysis::FleetReportJson(merged)),
+              golden.json);
+    EXPECT_EQ(util::HashString(analysis::FleetSummaryCsv(merged)), golden.csv);
+    EXPECT_EQ(util::HashString(analysis::UidSmugglingReportJson(merged)),
+              golden.smuggling_json);
+    const std::string smuggling_csv = analysis::UidSmugglingCsv(merged);
+    EXPECT_GT(std::count(smuggling_csv.begin(), smuggling_csv.end(), '\n'), 1)
+        << "the plan must produce smuggling findings";
+    EXPECT_EQ(util::HashString(smuggling_csv), golden.smuggling_csv);
+    EXPECT_EQ(util::HashString(analysis::FleetSummaryTable(merged)),
+              golden.table);
+    EXPECT_EQ(util::HashString(manifest), golden.manifest);
+  }
+
+  // `run-manifest`: one entry of each kind.
+  auto parsed = analysis::Manifest::FromJson(
+      R"({"popular_sites":4,"sensitive_sites":2,"entries":[)"
+      R"({"browser":"Yandex"},{"browser":"Yandex","incognito":true},)"
+      R"({"browser":"DuckDuckGo","mode":"idle","idle_minutes":1}]})");
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(util::HashString(analysis::RunManifest(*parsed).ToJson()),
+            0xd7548fc884a1a7ddull);
 }
 
 }  // namespace
