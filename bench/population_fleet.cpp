@@ -96,7 +96,7 @@ CampaignOutcome RunPopulation(int population, int jobs,
   auto results = executor.Run(plan);
   CampaignOutcome out;
   for (const auto& result : results) {
-    if (result.crawl.has_value()) out.ingest.Accumulate(result.crawl->ingest);
+    out.ingest.Accumulate(result.capture().ingest);
   }
   auto merged = FleetExecutor::MergeShards(std::move(results));
   out.report = analysis::FleetReportJson(merged);

@@ -123,8 +123,7 @@ FleetOutcome RunFleetCampaign(uint64_t budget, const std::string& spill_dir) {
   auto results = executor.Run(jobs);
   FleetOutcome out;
   for (const auto& result : results) {
-    if (result.crawl.has_value()) out.ingest.Accumulate(result.crawl->ingest);
-    if (result.idle.has_value()) out.ingest.Accumulate(result.idle->ingest);
+    out.ingest.Accumulate(result.capture().ingest);
   }
   out.report =
       analysis::FleetReportJson(FleetExecutor::MergeShards(std::move(results)));

@@ -36,6 +36,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "analysis/export.h"
 #include "analysis/flow_index.h"
@@ -771,28 +772,16 @@ int CmdExplain(const util::Args& args) {
   }
   std::sort(snaps.begin(), snaps.end());
 
-  const uint32_t tag = static_cast<uint32_t>(uid >> 32);
-  const uint32_t ordinal = static_cast<uint32_t>(uid);
   for (const auto& path : snaps) {
     auto bytes = ReadFile(path.string());
     core::FleetJobResult result;
     if (!bytes || !core::snapshot::ReadAny(*bytes, &result)) continue;
 
-    struct Side {
-      const proxy::FlowStore* store;
-      const char* role;
-    };
-    std::vector<Side> sides;
-    if (result.crawl.has_value()) {
-      sides.push_back({result.crawl->engine_flows.get(), "engine"});
-      sides.push_back({result.crawl->native_flows.get(), "native"});
-    }
-    if (result.idle.has_value()) {
-      sides.push_back({result.idle->native_flows.get(), "native"});
-    }
-    for (const Side& side : sides) {
-      if (side.store == nullptr) continue;
-      for (const auto& flow : side.store->flows()) {
+    const core::CaptureView capture = result.capture();
+    const std::pair<const proxy::FlowStore*, const char*> sides[] = {
+        {&capture.engine_flows, "engine"}, {&capture.native_flows, "native"}};
+    for (const auto& [store, role] : sides) {
+      for (const auto& flow : store->flows()) {
         if (flow.uid != uid) continue;
 
         std::printf("finding %s\n", obs::FlowIdHex(uid).c_str());
@@ -805,34 +794,22 @@ int CmdExplain(const util::Args& args) {
             static_cast<unsigned long long>(result.seed), result.attempts,
             result.quarantined ? " QUARANTINED" : "");
         std::printf("  snapshot: %s\n", path.filename().string().c_str());
-        if (result.crawl.has_value()) {
-          const auto& visits = result.crawl->visits;
-          for (size_t v = 0; v < visits.size(); ++v) {
-            const core::VisitRecord& rec = visits[v];
-            const bool in_native = rec.native_tag == tag &&
-                                   ordinal >= rec.native_flow_begin &&
-                                   ordinal < rec.native_flow_end;
-            const bool in_engine = rec.engine_tag == tag &&
-                                   ordinal >= rec.engine_flow_begin &&
-                                   ordinal < rec.engine_flow_end;
-            if (!in_native && !in_engine) continue;
-            std::string fault = rec.fault_cause.empty()
-                                    ? std::string()
-                                    : ", fault=" + rec.fault_cause;
-            std::printf(
-                "  visit: #%zu %s (%s, attempts=%d%s%s)\n", v,
-                rec.hostname.c_str(), rec.ok ? "ok" : "failed",
-                rec.attempts, fault.c_str(),
-                rec.incognito_honored ? "" : ", incognito NOT honored");
-            break;
-          }
+        if (const int64_t v = core::VisitOfUid(uid, capture.visits); v >= 0) {
+          const core::VisitRecord& rec = capture.visits[v];
+          std::string fault = rec.fault_cause.empty()
+                                  ? std::string()
+                                  : ", fault=" + rec.fault_cause;
+          std::printf("  visit: #%lld %s (%s, attempts=%d%s%s)\n",
+                      static_cast<long long>(v), rec.hostname.c_str(),
+                      rec.ok ? "ok" : "failed", rec.attempts, fault.c_str(),
+                      rec.incognito_honored ? "" : ", incognito NOT honored");
         }
         std::printf(
             "  flow: [%s] %s %s -> %d (%s store, origin=%s%s%s)\n",
             util::FormatTimestamp(flow.time).c_str(),
             std::string(net::MethodName(flow.method)).c_str(),
             std::string(flow.url.text()).c_str(), flow.response_status,
-            side.role,
+            role,
             std::string(proxy::TrafficOriginName(flow.origin)).c_str(),
             flow.fault_injected ? ", fault-injected" : "",
             flow.blocked ? ", blocked" : "");

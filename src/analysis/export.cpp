@@ -2,6 +2,9 @@
 
 #include <array>
 #include <cstdio>
+#include <functional>
+#include <initializer_list>
+#include <iterator>
 #include <set>
 #include <unordered_map>
 
@@ -156,32 +159,6 @@ bool HasPopulation(const std::vector<core::FleetJobResult>& results) {
   return false;
 }
 
-// Resolves a finding's flow_uid to the visit (index into `visits`) that
-// captured it: the uid's provenance tag picks the store (engine or
-// native role of one job attempt) and the ordinal falls in exactly one
-// visit's recorded flow range. -1 when no visit matches (idle traffic,
-// or uid 0 from a store without provenance tags). Ranges survive
-// MergeShards because each VisitRecord keeps its original tag and
-// store-local ordinals.
-int64_t VisitOfUid(uint64_t uid,
-                   const std::vector<core::VisitRecord>& visits) {
-  if (uid == 0) return -1;
-  const uint32_t tag = static_cast<uint32_t>(uid >> 32);
-  const uint32_t ord = static_cast<uint32_t>(uid);
-  for (size_t v = 0; v < visits.size(); ++v) {
-    const core::VisitRecord& rec = visits[v];
-    if (rec.native_tag == tag && ord >= rec.native_flow_begin &&
-        ord < rec.native_flow_end) {
-      return static_cast<int64_t>(v);
-    }
-    if (rec.engine_tag == tag && ord >= rec.engine_flow_begin &&
-        ord < rec.engine_flow_end) {
-      return static_cast<int64_t>(v);
-    }
-  }
-  return -1;
-}
-
 // The per-result findings array: one entry per PII evidence record,
 // each carrying the full provenance chain of the ISSUE's observatory
 // contract — flow_id, job (result index), visit, attempt,
@@ -190,7 +167,7 @@ int64_t VisitOfUid(uint64_t uid,
 // the report stays byte-identical with journaling on or off.
 util::JsonArray FindingsJson(const PiiReport& report,
                              const proxy::FlowStore& store,
-                             const std::vector<core::VisitRecord>* visits,
+                             const std::vector<core::VisitRecord>& visits,
                              size_t job_index, int attempts) {
   std::unordered_map<uint64_t, uint32_t> ordinal_by_uid;
   ordinal_by_uid.reserve(store.size());
@@ -208,9 +185,7 @@ util::JsonArray FindingsJson(const PiiReport& report,
     finding["flow_id"] = obs::FlowIdHex(evidence.flow_uid);
     finding["job"] = static_cast<uint64_t>(job_index);
     finding["attempt"] = static_cast<int64_t>(attempts);
-    int64_t visit =
-        visits != nullptr ? VisitOfUid(evidence.flow_uid, *visits) : -1;
-    finding["visit"] = visit;
+    finding["visit"] = core::VisitOfUid(evidence.flow_uid, visits);
     auto it = ordinal_by_uid.find(evidence.flow_uid);
     finding["fault_injected"] =
         it != ordinal_by_uid.end() && store.flow(it->second).fault_injected;
@@ -219,93 +194,161 @@ util::JsonArray FindingsJson(const PiiReport& report,
   return findings;
 }
 
+using CsvRows = std::vector<std::vector<std::string>>;
+
+// One CSV over fleet results. `rows_of` gives a result's cells under
+// `columns`; every row starts with the job's browser, campaign and seed
+// and, in a population run, ends with its cohort, device and weight.
+std::string FleetCsv(
+    const std::vector<core::FleetJobResult>& results,
+    const std::vector<std::string>& columns,
+    const std::function<CsvRows(const core::FleetJobResult&)>& rows_of) {
+  const bool population = HasPopulation(results);
+  std::vector<std::string> header = {"browser", "campaign", "seed"};
+  header.insert(header.end(), columns.begin(), columns.end());
+  if (population) {
+    header.insert(header.end(), {"cohort", "device", "cohort_weight"});
+  }
+  CsvRows rows;
+  for (const auto& result : results) {
+    for (auto& cells : rows_of(result)) {
+      std::vector<std::string> row = {
+          result.job.spec.name,
+          std::string(core::CampaignKindName(result.job.kind)),
+          SeedHex(result.seed)};
+      row.insert(row.end(), std::make_move_iterator(cells.begin()),
+                 std::make_move_iterator(cells.end()));
+      if (population) {
+        row.push_back(result.job.cohort.Label());
+        row.push_back(result.job.cohort.profile.model);
+        row.push_back(util::FormatDouble(result.job.cohort.weight, 6));
+      }
+      rows.push_back(std::move(row));
+    }
+  }
+  return RenderCsv(header, rows);
+}
+
+// Population-weighted view of per-job metrics: what the *average
+// synthetic user* of a population sees, per (browser, campaign) group
+// in first-appearance (plan) order. Each group sums w_i * metric_i and
+// unions the jobs' members; weighted means normalize by the group's
+// weight mass so a sharded or partial run still reports per-user
+// expectations.
+class PopulationFold {
+ public:
+  void Add(const core::FleetJobResult& result,
+           std::initializer_list<double> metrics,
+           const std::vector<std::string>& members) {
+    Group& group = GroupOf(result);
+    const double w = result.job.cohort.weight;
+    group.weight += w;
+    if (group.sums.empty()) group.sums.resize(metrics.size());
+    size_t i = 0;
+    for (double metric : metrics) group.sums[i++] += w * metric;
+    group.members.insert(members.begin(), members.end());
+    ++group.cohorts;
+  }
+
+  // One JSON object per group: the weighted mean of metric i under
+  // `metric_keys[i]` and the sorted member union under `members_key`.
+  util::JsonArray Json(const std::vector<std::string>& metric_keys,
+                       const std::string& members_key) const {
+    util::JsonArray out;
+    for (const Group& group : groups_) {
+      util::JsonObject json;
+      json["browser"] = group.browser;
+      json["campaign"] = group.campaign;
+      json["cohorts"] = group.cohorts;
+      json["weight"] = group.weight;
+      const double norm = group.weight > 0 ? group.weight : 1.0;
+      for (size_t i = 0; i < metric_keys.size(); ++i) {
+        json[metric_keys[i]] = group.sums[i] / norm;
+      }
+      json[members_key] =
+          util::JsonArray(group.members.begin(), group.members.end());
+      out.push_back(util::Json(std::move(json)));
+    }
+    return out;
+  }
+
+ private:
+  struct Group {
+    std::string browser;
+    std::string campaign;
+    double weight = 0;
+    std::vector<double> sums;
+    std::set<std::string> members;
+    uint64_t cohorts = 0;
+  };
+
+  Group& GroupOf(const core::FleetJobResult& result) {
+    std::string campaign(core::CampaignKindName(result.job.kind));
+    for (Group& group : groups_) {
+      if (group.browser == result.job.spec.name &&
+          group.campaign == campaign) {
+        return group;
+      }
+    }
+    Group& group = groups_.emplace_back();
+    group.browser = result.job.spec.name;
+    group.campaign = std::move(campaign);
+    return group;
+  }
+
+  std::vector<Group> groups_;
+};
+
+util::JsonObject SightingJson(const UidSighting& sighting,
+                              const std::vector<core::VisitRecord>& visits) {
+  util::JsonObject out;
+  out["flow_id"] = obs::FlowIdHex(sighting.flow_uid);
+  out["host"] = sighting.host;
+  out["domain"] = sighting.domain;
+  out["key"] = sighting.key;
+  out["carrier"] = std::string(UidCarrierName(sighting.carrier));
+  out["embedded"] = sighting.embedded;
+  out["visit"] = core::VisitOfUid(sighting.flow_uid, visits);
+  if (sighting.redirect_hop > 0) {
+    out["hop"] = static_cast<uint64_t>(sighting.redirect_hop);
+    out["redirect_of"] = obs::FlowIdHex(sighting.redirect_of);
+    out["chain_head"] = obs::FlowIdHex(sighting.chain_head);
+  }
+  return out;
+}
+
 }  // namespace
 
 std::string FleetSummaryCsv(
     const std::vector<core::FleetJobResult>& results) {
   ReportTimer timer("analysis.fleet_summary_csv");
-  const bool population = HasPopulation(results);
-  std::vector<std::vector<std::string>> rows;
-  for (const auto& result : results) {
-    const device::DeviceProfile& profile = result.job.cohort.profile;
-    uint64_t engine = 0, native = 0, engine_bytes = 0, native_bytes = 0;
-    double ratio = 0;
-    size_t pii = 0;
-    if (result.crawl.has_value()) {
-      const core::CrawlResult& crawl = *result.crawl;
-      engine = crawl.EngineRequestCount();
-      native = crawl.NativeRequestCount();
-      engine_bytes = crawl.engine_index->request_bytes_total();
-      native_bytes = crawl.native_index->request_bytes_total();
-      ratio = crawl.NativeRatio();
-      pii = PiiScanner(profile).Scan(*crawl.native_index).LeakCount();
-    } else if (result.idle.has_value()) {
-      const core::IdleResult& idle = *result.idle;
-      native = idle.native_flows->size();
-      native_bytes = idle.native_index->request_bytes_total();
-      ratio = native == 0 ? 0 : 1.0;  // idle traffic is all native
-      pii = PiiScanner(profile).Scan(*idle.native_index).LeakCount();
-    }
-    std::vector<std::string> row = {
-        result.job.spec.name,
-        std::string(core::CampaignKindName(result.job.kind)),
-        SeedHex(result.seed), std::to_string(engine), std::to_string(native),
-        util::FormatDouble(ratio, 4), std::to_string(engine_bytes),
-        std::to_string(native_bytes), std::to_string(pii)};
-    if (population) {
-      row.push_back(result.job.cohort.Label());
-      row.push_back(profile.model);
-      row.push_back(util::FormatDouble(result.job.cohort.weight, 6));
-    }
-    rows.push_back(std::move(row));
-  }
-  std::vector<std::string> header = {
-      "browser", "campaign", "seed", "engine_requests", "native_requests",
-      "native_ratio", "engine_bytes", "native_bytes", "pii_fields"};
-  if (population) {
-    header.insert(header.end(), {"cohort", "device", "cohort_weight"});
-  }
-  return RenderCsv(header, rows);
+  return FleetCsv(
+      results,
+      {"engine_requests", "native_requests", "native_ratio", "engine_bytes",
+       "native_bytes", "pii_fields"},
+      [](const core::FleetJobResult& result) -> CsvRows {
+        const core::CaptureView capture = result.capture();
+        const size_t pii = PiiScanner(result.job.cohort.profile)
+                               .Scan(capture.native_index)
+                               .LeakCount();
+        return {{std::to_string(capture.engine_flows.size()),
+                 std::to_string(capture.native_flows.size()),
+                 util::FormatDouble(capture.NativeRatio(), 4),
+                 std::to_string(capture.engine_index.request_bytes_total()),
+                 std::to_string(capture.native_index.request_bytes_total()),
+                 std::to_string(pii)}};
+      });
 }
-
-namespace {
-
-// Population-weighted accumulator for one (browser, campaign) group.
-struct PopulationAggregate {
-  std::string browser;
-  std::string campaign;
-  double weight = 0;
-  double native_requests = 0;  // sum of w_i * count_i
-  double native_ratio = 0;
-  double pii_fields = 0;
-  std::set<std::string> pii_union;
-  uint64_t cohorts = 0;
-};
-
-}  // namespace
 
 std::string FleetReportJson(
     const std::vector<core::FleetJobResult>& results) {
   ReportTimer timer("analysis.fleet_report_json");
   const bool population = HasPopulation(results);
-  // (browser, campaign) → aggregate, in first-appearance (plan) order.
-  std::vector<PopulationAggregate> aggregates;
-  auto aggregate_for = [&](const core::FleetJobResult& r)
-      -> PopulationAggregate& {
-    std::string campaign(core::CampaignKindName(r.job.kind));
-    for (auto& agg : aggregates) {
-      if (agg.browser == r.job.spec.name && agg.campaign == campaign) {
-        return agg;
-      }
-    }
-    PopulationAggregate& agg = aggregates.emplace_back();
-    agg.browser = r.job.spec.name;
-    agg.campaign = std::move(campaign);
-    return agg;
-  };
+  PopulationFold fold;
   util::JsonArray entries;
   for (size_t job_index = 0; job_index < results.size(); ++job_index) {
     const auto& result = results[job_index];
+    const core::CaptureView capture = result.capture();
     util::JsonObject entry;
     entry["browser"] = result.job.spec.name;
     entry["campaign"] =
@@ -325,177 +368,72 @@ std::string FleetReportJson(
       cohort_json["rooted"] = cohort.profile.rooted;
       entry["cohort"] = util::Json(std::move(cohort_json));
     }
-    // PII fields and findings of the native capture, plus the job's
-    // share of the population aggregate.
-    auto add_pii = [&](const FlowIndex& index, const proxy::FlowStore& store,
-                       const std::vector<core::VisitRecord>* visits,
-                       uint64_t native_requests, double native_ratio) {
-      PiiReport pii_report = PiiScanner(result.job.cohort.profile).Scan(index);
-      std::vector<std::string> pii_names = PiiFieldNames(pii_report);
-      entry["pii_fields"] = util::JsonArray(pii_names.begin(), pii_names.end());
-      entry["findings"] =
-          FindingsJson(pii_report, store, visits, job_index, result.attempts);
-      if (!population) return;
-      PopulationAggregate& agg = aggregate_for(result);
-      double w = result.job.cohort.weight;
-      agg.weight += w;
-      agg.native_requests += w * static_cast<double>(native_requests);
-      agg.native_ratio += w * native_ratio;
-      agg.pii_fields += w * static_cast<double>(pii_names.size());
-      agg.pii_union.insert(pii_names.begin(), pii_names.end());
-      ++agg.cohorts;
-    };
+    const uint64_t native = capture.native_flows.size();
+    entry["native_requests"] = native;
+    entry["native_request_bytes"] = capture.native_index.request_bytes_total();
+    // Keys only one campaign kind reports.
     if (result.crawl.has_value()) {
-      const core::CrawlResult& crawl = *result.crawl;
-      entry["engine_requests"] = crawl.EngineRequestCount();
-      entry["native_requests"] = crawl.NativeRequestCount();
-      entry["native_ratio"] = crawl.NativeRatio();
+      entry["engine_requests"] =
+          static_cast<uint64_t>(capture.engine_flows.size());
+      entry["native_ratio"] = capture.NativeRatio();
       entry["engine_request_bytes"] =
-          crawl.engine_index->request_bytes_total();
-      entry["native_request_bytes"] =
-          crawl.native_index->request_bytes_total();
-      entry["incognito_effective"] = crawl.incognito_effective;
-      entry["visits"] = static_cast<uint64_t>(crawl.visits.size());
+          capture.engine_index.request_bytes_total();
+      entry["incognito_effective"] = result.crawl->incognito_effective;
+      entry["visits"] = static_cast<uint64_t>(capture.visits.size());
       uint64_t ok = 0;
-      for (const auto& visit : crawl.visits) ok += visit.ok ? 1 : 0;
+      for (const auto& visit : capture.visits) ok += visit.ok ? 1 : 0;
       entry["visits_ok"] = ok;
       util::JsonArray hosts;
-      for (auto& host : crawl.native_index->SortedHosts()) {
+      for (auto& host : capture.native_index.SortedHosts()) {
         hosts.emplace_back(std::move(host));
       }
       entry["native_hosts"] = std::move(hosts);
-      add_pii(*crawl.native_index, *crawl.native_flows, &crawl.visits,
-              crawl.NativeRequestCount(), crawl.NativeRatio());
-    } else if (result.idle.has_value()) {
-      const core::IdleResult& idle = *result.idle;
-      const uint64_t native = idle.native_flows->size();
-      entry["native_requests"] = native;
-      entry["native_request_bytes"] = idle.native_index->request_bytes_total();
+    } else {
       util::JsonArray buckets;
-      for (uint64_t count : idle.cumulative_by_bucket) {
+      for (uint64_t count : result.idle->cumulative_by_bucket) {
         buckets.emplace_back(count);
       }
       entry["cumulative_by_bucket"] = std::move(buckets);
-      add_pii(*idle.native_index, *idle.native_flows, nullptr, native,
-              native == 0 ? 0.0 : 1.0);
+    }
+    // PII fields and findings of the native capture, plus the job's
+    // share of the population aggregate.
+    PiiReport pii_report =
+        PiiScanner(result.job.cohort.profile).Scan(capture.native_index);
+    std::vector<std::string> pii_names = PiiFieldNames(pii_report);
+    entry["pii_fields"] = util::JsonArray(pii_names.begin(), pii_names.end());
+    entry["findings"] = FindingsJson(pii_report, capture.native_flows,
+                                     capture.visits, job_index,
+                                     result.attempts);
+    if (population) {
+      fold.Add(result,
+               {static_cast<double>(native), capture.NativeRatio(),
+                static_cast<double>(pii_names.size())},
+               pii_names);
     }
     entries.push_back(util::Json(std::move(entry)));
   }
   util::JsonObject root;
   root["results"] = std::move(entries);
   if (population) {
-    // Population-weighted view: what the *average synthetic user* of
-    // this population leaks, per browser and campaign. Weighted means
-    // normalize by the group's weight mass so a sharded or partial run
-    // still reports per-user expectations.
-    util::JsonArray population_json;
-    for (const PopulationAggregate& agg : aggregates) {
-      util::JsonObject group;
-      group["browser"] = agg.browser;
-      group["campaign"] = agg.campaign;
-      group["cohorts"] = agg.cohorts;
-      group["weight"] = agg.weight;
-      double norm = agg.weight > 0 ? agg.weight : 1.0;
-      group["weighted_native_requests"] = agg.native_requests / norm;
-      group["weighted_native_ratio"] = agg.native_ratio / norm;
-      group["weighted_pii_fields"] = agg.pii_fields / norm;
-      util::JsonArray pii_union;
-      for (const std::string& field : agg.pii_union) {
-        pii_union.emplace_back(field);
-      }
-      group["pii_field_union"] = std::move(pii_union);
-      population_json.push_back(util::Json(std::move(group)));
-    }
-    root["population"] = std::move(population_json);
+    root["population"] = fold.Json({"weighted_native_requests",
+                                    "weighted_native_ratio",
+                                    "weighted_pii_fields"},
+                                   "pii_field_union");
   }
   return util::Json(std::move(root)).Dump();
 }
-
-namespace {
-
-// Idle results carry no engine store; the analyzer treats an empty
-// (store, index) pair as an empty side, so the native self-join still
-// runs (device-fingerprint values shared across vendor domains).
-const proxy::FlowStore& EmptyFlowStore() {
-  static const proxy::FlowStore empty;
-  return empty;
-}
-const FlowIndex& EmptyFlowIndex() {
-  static const FlowIndex empty;
-  return empty;
-}
-
-// Runs the smuggling analyzer for one fleet result; nullopt when the
-// result holds neither a crawl nor idle traffic (quarantined job).
-std::optional<UidSmugglingReport> SmugglingFor(
-    const core::FleetJobResult& result) {
-  if (result.crawl.has_value()) {
-    const core::CrawlResult& crawl = *result.crawl;
-    return AnalyzeUidSmuggling(*crawl.engine_flows, *crawl.engine_index,
-                               *crawl.native_flows, *crawl.native_index);
-  }
-  if (result.idle.has_value()) {
-    const core::IdleResult& idle = *result.idle;
-    return AnalyzeUidSmuggling(EmptyFlowStore(), EmptyFlowIndex(),
-                               *idle.native_flows, *idle.native_index);
-  }
-  return std::nullopt;
-}
-
-util::JsonObject SightingJson(const UidSighting& sighting,
-                              const std::vector<core::VisitRecord>* visits) {
-  util::JsonObject out;
-  out["flow_id"] = obs::FlowIdHex(sighting.flow_uid);
-  out["host"] = sighting.host;
-  out["domain"] = sighting.domain;
-  out["key"] = sighting.key;
-  out["carrier"] = std::string(UidCarrierName(sighting.carrier));
-  out["embedded"] = sighting.embedded;
-  out["visit"] =
-      visits != nullptr ? VisitOfUid(sighting.flow_uid, *visits) : -1;
-  if (sighting.redirect_hop > 0) {
-    out["hop"] = static_cast<uint64_t>(sighting.redirect_hop);
-    out["redirect_of"] = obs::FlowIdHex(sighting.redirect_of);
-    out["chain_head"] = obs::FlowIdHex(sighting.chain_head);
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string UidSmugglingReportJson(
     const std::vector<core::FleetJobResult>& results) {
   ReportTimer timer("analysis.uid_smuggling_json");
   const bool population = HasPopulation(results);
-
-  struct SmugglingAggregate {
-    std::string browser;
-    std::string campaign;
-    double weight = 0;
-    double findings = 0;   // sum of w_i * finding-count_i
-    double sightings = 0;  // sum of w_i * sighting-count_i
-    std::set<std::string> value_union;
-    uint64_t cohorts = 0;
-  };
-  std::vector<SmugglingAggregate> aggregates;
-  auto aggregate_for =
-      [&](const core::FleetJobResult& r) -> SmugglingAggregate& {
-    std::string campaign(core::CampaignKindName(r.job.kind));
-    for (auto& agg : aggregates) {
-      if (agg.browser == r.job.spec.name && agg.campaign == campaign) {
-        return agg;
-      }
-    }
-    SmugglingAggregate& agg = aggregates.emplace_back();
-    agg.browser = r.job.spec.name;
-    agg.campaign = std::move(campaign);
-    return agg;
-  };
-
+  PopulationFold fold;
   util::JsonArray entries;
   for (const auto& result : results) {
-    auto smuggling = SmugglingFor(result);
-    if (!smuggling.has_value()) continue;
+    const core::CaptureView capture = result.capture();
+    const UidSmugglingReport smuggling =
+        AnalyzeUidSmuggling(capture.engine_flows, capture.engine_index,
+                            capture.native_flows, capture.native_index);
     util::JsonObject entry;
     entry["browser"] = result.job.spec.name;
     entry["campaign"] = std::string(core::CampaignKindName(result.job.kind));
@@ -509,12 +447,11 @@ std::string UidSmugglingReportJson(
       cohort_json["model"] = cohort.profile.model;
       entry["cohort"] = util::Json(std::move(cohort_json));
     }
-    entry["values_examined"] = smuggling->values_examined;
-    entry["flows_with_chains"] = smuggling->flows_with_chains;
-    const std::vector<core::VisitRecord>* visits =
-        result.crawl.has_value() ? &result.crawl->visits : nullptr;
+    entry["values_examined"] = smuggling.values_examined;
+    entry["flows_with_chains"] = smuggling.flows_with_chains;
     util::JsonArray findings;
-    for (const UidSmugglingFinding& finding : smuggling->findings) {
+    std::vector<std::string> values;
+    for (const UidSmugglingFinding& finding : smuggling.findings) {
       util::JsonObject finding_json;
       finding_json["value"] = finding.value;
       finding_json["domains"] = finding.domains;
@@ -528,48 +465,27 @@ std::string UidSmugglingReportJson(
       finding_json["last_seen"] = finding.last_seen_millis;
       util::JsonArray sightings;
       for (const UidSighting& sighting : finding.sightings) {
-        sightings.push_back(util::Json(SightingJson(sighting, visits)));
+        sightings.push_back(util::Json(SightingJson(sighting, capture.visits)));
       }
       finding_json["sightings"] = std::move(sightings);
       findings.push_back(util::Json(std::move(finding_json)));
+      if (population) values.push_back(finding.value);
     }
     entry["findings"] = std::move(findings);
     entries.push_back(util::Json(std::move(entry)));
-
     if (population) {
-      SmugglingAggregate& agg = aggregate_for(result);
-      double w = result.job.cohort.weight;
-      agg.weight += w;
-      agg.findings += w * static_cast<double>(smuggling->findings.size());
-      agg.sightings += w * static_cast<double>(smuggling->TotalSightings());
-      for (const UidSmugglingFinding& finding : smuggling->findings) {
-        agg.value_union.insert(finding.value);
-      }
-      ++agg.cohorts;
+      fold.Add(result,
+               {static_cast<double>(smuggling.findings.size()),
+                static_cast<double>(smuggling.TotalSightings())},
+               values);
     }
   }
 
   util::JsonObject root;
   root["results"] = std::move(entries);
   if (population) {
-    util::JsonArray population_json;
-    for (const SmugglingAggregate& agg : aggregates) {
-      util::JsonObject group;
-      group["browser"] = agg.browser;
-      group["campaign"] = agg.campaign;
-      group["cohorts"] = agg.cohorts;
-      group["weight"] = agg.weight;
-      double norm = agg.weight > 0 ? agg.weight : 1.0;
-      group["weighted_findings"] = agg.findings / norm;
-      group["weighted_sightings"] = agg.sightings / norm;
-      util::JsonArray values;
-      for (const std::string& value : agg.value_union) {
-        values.emplace_back(value);
-      }
-      group["value_union"] = std::move(values);
-      population_json.push_back(util::Json(std::move(group)));
-    }
-    root["population"] = std::move(population_json);
+    root["population"] = fold.Json(
+        {"weighted_findings", "weighted_sightings"}, "value_union");
   }
   return util::Json(std::move(root)).Dump();
 }
@@ -577,39 +493,26 @@ std::string UidSmugglingReportJson(
 std::string UidSmugglingCsv(
     const std::vector<core::FleetJobResult>& results) {
   ReportTimer timer("analysis.uid_smuggling_csv");
-  const bool population = HasPopulation(results);
-  std::vector<std::vector<std::string>> rows;
-  for (const auto& result : results) {
-    auto smuggling = SmugglingFor(result);
-    if (!smuggling.has_value()) continue;
-    for (const UidSmugglingFinding& finding : smuggling->findings) {
-      std::vector<std::string> row = {
-          result.job.spec.name,
-          std::string(core::CampaignKindName(result.job.kind)),
-          SeedHex(result.seed),
-          finding.value,
-          std::to_string(finding.domains),
-          std::to_string(finding.engine_sightings),
-          std::to_string(finding.native_sightings),
-          std::to_string(finding.embedded_sightings),
-          std::to_string(finding.chained_sightings),
-          std::to_string(finding.max_chain_hops)};
-      if (population) {
-        row.push_back(result.job.cohort.Label());
-        row.push_back(result.job.cohort.profile.model);
-        row.push_back(util::FormatDouble(result.job.cohort.weight, 6));
-      }
-      rows.push_back(std::move(row));
-    }
-  }
-  std::vector<std::string> header = {
-      "browser", "campaign", "seed", "value", "domains", "engine_sightings",
-      "native_sightings", "embedded_sightings", "chained_sightings",
-      "max_chain_hops"};
-  if (population) {
-    header.insert(header.end(), {"cohort", "device", "cohort_weight"});
-  }
-  return RenderCsv(header, rows);
+  return FleetCsv(
+      results,
+      {"value", "domains", "engine_sightings", "native_sightings",
+       "embedded_sightings", "chained_sightings", "max_chain_hops"},
+      [](const core::FleetJobResult& result) {
+        const core::CaptureView capture = result.capture();
+        const UidSmugglingReport smuggling =
+            AnalyzeUidSmuggling(capture.engine_flows, capture.engine_index,
+                                capture.native_flows, capture.native_index);
+        CsvRows rows;
+        for (const UidSmugglingFinding& finding : smuggling.findings) {
+          rows.push_back({finding.value, std::to_string(finding.domains),
+                          std::to_string(finding.engine_sightings),
+                          std::to_string(finding.native_sightings),
+                          std::to_string(finding.embedded_sightings),
+                          std::to_string(finding.chained_sightings),
+                          std::to_string(finding.max_chain_hops)});
+        }
+        return rows;
+      });
 }
 
 std::string RunManifestJson(const core::RunManifest& manifest) {

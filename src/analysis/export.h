@@ -32,6 +32,10 @@ std::string DomainStatsCsv(const std::vector<DomainStats>& stats);
 // Raw flow dump: one row per flow with its classification.
 std::string FlowStoreCsv(const proxy::FlowStore& store);
 
+// The fleet renderers below read every result through its
+// core::CaptureView, so crawl and idle results share one layout; an
+// idle row reports an empty engine side.
+//
 // Fleet rows: browser, campaign, seed, request counts, ratio, request
 // bytes, PII field count. One row per (merged) fleet job result. The
 // PII scan of each row searches for the values of *that job's* device
@@ -43,7 +47,10 @@ std::string FleetSummaryCsv(const std::vector<core::FleetJobResult>& results);
 // Canonical JSON export of a fleet campaign, in result order. Fully
 // deterministic for a given result set — the differential harness
 // compares serial and parallel runs byte-for-byte on this output.
-// Each entry's PII scan uses its job's cohort profile. Population runs
+// Each entry's PII scan uses its job's cohort profile. Crawl entries
+// add the engine side, the native ratio, incognito, visit counts and
+// native hosts; idle entries add the cumulative per-bucket timeline.
+// Population runs
 // add a per-entry "cohort" object and a root "population" section of
 // weighted aggregates per (browser, campaign); default-cohort runs
 // render byte-identically to the pre-population format.

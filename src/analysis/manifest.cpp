@@ -26,13 +26,14 @@ std::optional<ManifestMode> ParseMode(std::string_view name) {
 }
 
 // Reads the optional number `key` of `object` into `*out`. False when
-// it is not an integer in [lo, hi]: a plain cast would truncate a
-// fraction silently, and is undefined behaviour out of range.
+// it is present but not an integer in [lo, hi]: a plain cast would
+// truncate a fraction silently, and is undefined behaviour out of range.
 template <typename T>
 bool ReadInteger(const util::Json& object, std::string_view key, int64_t lo,
                  int64_t hi, T* out) {
   const auto* field = object.Find(key);
-  if (field == nullptr || !field->is_number()) return true;
+  if (field == nullptr) return true;
+  if (!field->is_number()) return false;
   double value = field->as_number();
   if (!(value >= static_cast<double>(lo) &&
         value <= static_cast<double>(hi)) ||
@@ -77,14 +78,14 @@ std::optional<Manifest> Manifest::FromJson(std::string_view text) {
     entry.browser = name->as_string();
     if (browser::FindSpec(entry.browser) == nullptr) return std::nullopt;
 
-    if (const auto* mode = item.Find("mode");
-        mode != nullptr && mode->is_string()) {
-      auto parsed = ParseMode(mode->as_string());
+    if (const auto* mode = item.Find("mode"); mode != nullptr) {
+      auto parsed = mode->is_string() ? ParseMode(mode->as_string())
+                                      : std::nullopt;
       if (!parsed) return std::nullopt;
       entry.mode = *parsed;
     }
-    if (const auto* incognito = item.Find("incognito");
-        incognito != nullptr && incognito->is_bool()) {
+    if (const auto* incognito = item.Find("incognito"); incognito != nullptr) {
+      if (!incognito->is_bool()) return std::nullopt;
       entry.incognito = incognito->as_bool();
     }
     // At most the minutes a util::Duration (int64 milliseconds) holds.
@@ -160,8 +161,11 @@ ManifestResult RunManifest(const Manifest& manifest) {
   }
   auto results = core::FleetExecutor(options).Run(jobs);
 
+  // Held in a local: a range-for over the temporary's sites() would
+  // free the catalog before the loop reads it.
+  const auto catalog = core::FleetCatalog(options);
   std::vector<net::Url> visited;
-  for (const auto& site : core::FleetCatalog(options)->sites()) {
+  for (const auto& site : catalog->sites()) {
     visited.push_back(site.landing_url);
   }
   HistoryLeakDetector detector(std::move(visited));
@@ -171,31 +175,26 @@ ManifestResult RunManifest(const Manifest& manifest) {
     const core::FleetJobResult& job_result = results[i];
     ManifestEntryResult& entry_result = result.entries.emplace_back();
     entry_result.entry = manifest.entries[i];
-    PiiScanner scanner(job_result.job.cohort.profile);
-
-    if (job_result.crawl.has_value()) {
-      const core::CrawlResult& crawl = *job_result.crawl;
-      entry_result.incognito_effective = crawl.incognito_effective;
-      entry_result.engine_requests = crawl.engine_flows->size();
-      entry_result.native_requests = crawl.native_flows->size();
-      entry_result.native_ratio = crawl.NativeRatio();
-      for (bool engine : {false, true}) {
-        const auto& store = engine ? *crawl.engine_flows : *crawl.native_flows;
-        const auto& index = engine ? *crawl.engine_index : *crawl.native_index;
-        for (const auto& leak : detector.Scan(store, index, engine)) {
-          if (leak.granularity == LeakGranularity::kFullUrl) {
-            ++entry_result.full_url_leak_destinations;
-          } else {
-            ++entry_result.host_only_leak_destinations;
-          }
+    const core::CaptureView capture = job_result.capture();
+    entry_result.engine_requests = capture.engine_flows.size();
+    entry_result.native_requests = capture.native_flows.size();
+    entry_result.native_ratio = capture.NativeRatio();
+    entry_result.pii_fields = PiiScanner(job_result.job.cohort.profile)
+                                  .Scan(capture.native_index)
+                                  .LeakCount();
+    // History leaks are a crawl finding: an idle run visits no site.
+    if (!job_result.crawl.has_value()) continue;
+    entry_result.incognito_effective = job_result.crawl->incognito_effective;
+    for (bool engine : {false, true}) {
+      const auto& store = engine ? capture.engine_flows : capture.native_flows;
+      const auto& index = engine ? capture.engine_index : capture.native_index;
+      for (const auto& leak : detector.Scan(store, index, engine)) {
+        if (leak.granularity == LeakGranularity::kFullUrl) {
+          ++entry_result.full_url_leak_destinations;
+        } else {
+          ++entry_result.host_only_leak_destinations;
         }
       }
-      entry_result.pii_fields = scanner.Scan(*crawl.native_index).LeakCount();
-    } else {
-      const core::IdleResult& idle = *job_result.idle;
-      entry_result.native_requests = idle.native_flows->size();
-      entry_result.native_ratio = 1.0;  // idle traffic is all native
-      entry_result.pii_fields = scanner.Scan(*idle.native_index).LeakCount();
     }
   }
   return result;

@@ -32,7 +32,9 @@ struct Manifest {
   // Parses {"seed":..,"popular_sites":..,"sensitive_sites":..,
   //         "entries":[{"browser":"Yandex","mode":"crawl",
   //                     "incognito":false,"idle_minutes":10}, ...]}.
-  // Returns nullopt on structural errors, unknown browsers or modes.
+  // Every field but "entries" and "browser" is optional. Returns
+  // nullopt on structural errors, unknown browsers or modes, and fields
+  // present with the wrong JSON type or out of range.
   static std::optional<Manifest> FromJson(std::string_view text);
 
   std::string ToJson() const;

@@ -79,21 +79,14 @@ std::string FleetSummaryTable(
   TextTable table(
       {"Browser", "Campaign", "Engine", "Native", "Ratio", "Native bytes"});
   for (const auto& result : results) {
-    if (result.crawl.has_value()) {
-      const core::CrawlResult& crawl = *result.crawl;
-      table.AddRow({result.job.spec.name,
-                    std::string(core::CampaignKindName(result.job.kind)),
-                    std::to_string(crawl.EngineRequestCount()),
-                    std::to_string(crawl.NativeRequestCount()),
-                    Ratio(crawl.NativeRatio()),
-                    Bytes(crawl.native_index->request_bytes_total())});
-    } else if (result.idle.has_value()) {
-      const core::IdleResult& idle = *result.idle;
-      table.AddRow({result.job.spec.name,
-                    std::string(core::CampaignKindName(result.job.kind)),
-                    "0", std::to_string(idle.native_flows->size()), "-",
-                    Bytes(idle.native_index->request_bytes_total())});
-    }
+    const core::CaptureView capture = result.capture();
+    table.AddRow({result.job.spec.name,
+                  std::string(core::CampaignKindName(result.job.kind)),
+                  std::to_string(capture.engine_flows.size()),
+                  std::to_string(capture.native_flows.size()),
+                  // An idle run has no engine side to split against.
+                  result.idle.has_value() ? "-" : Ratio(capture.NativeRatio()),
+                  Bytes(capture.native_index.request_bytes_total())});
   }
   std::string out = table.Render();
   if (stats != nullptr && stats->workers > 0) {

@@ -73,6 +73,18 @@ struct VisitRecord {
   uint32_t native_flow_end = 0;
 };
 
+// Resolves a flow uid to the visit (index into `visits`) that captured
+// it: the uid's provenance tag picks the store (engine or native role
+// of one job attempt) and the ordinal falls in exactly one visit's
+// recorded flow range. -1 when no visit matches (idle traffic, or uid 0
+// from a store without provenance tags). Ranges survive shard merges
+// because each VisitRecord keeps its original tag and store-local
+// ordinals.
+int64_t VisitOfUid(uint64_t uid, const std::vector<VisitRecord>& visits);
+
+// Fig 2's black line: native / (native + engine), 0 without traffic.
+double NativeRatio(uint64_t engine_requests, uint64_t native_requests);
+
 struct CrawlResult {
   std::string browser;
   bool incognito_requested = false;
@@ -97,8 +109,9 @@ struct CrawlResult {
 
   uint64_t EngineRequestCount() const { return engine_flows->size(); }
   uint64_t NativeRequestCount() const { return native_flows->size(); }
-  // Fig 2's black line: native / (native + engine).
-  double NativeRatio() const;
+  double NativeRatio() const {
+    return core::NativeRatio(EngineRequestCount(), NativeRequestCount());
+  }
 };
 
 // Crawls `sites` with `spec`'s browser. The framework's taint addon is

@@ -82,23 +82,18 @@ struct FleetMetrics {
 };
 
 // A job is dead when it attempted visits and every one of them failed
-// (a fully-dead host, a catastrophic fault episode). Idle runs and
-// empty shards never fail — there is nothing to retry.
+// (a fully-dead host, a catastrophic fault episode). A job without
+// visits (an idle run, an empty shard) never fails — there is nothing
+// to retry.
 bool JobFailed(const FleetJobResult& result) {
+  const CaptureView capture = result.capture();
   // A watchdog-cancelled campaign is wedged, not merely degraded: its
   // capture is incomplete by construction, so it takes the same
   // retry/quarantine path as a fully-dead job.
-  if (result.crawl.has_value() && result.crawl->watchdog_cancelled) {
-    return true;
-  }
-  if (result.idle.has_value() && result.idle->watchdog_cancelled) return true;
-  if (!result.crawl.has_value()) return false;
-  const auto& visits = result.crawl->visits;
-  if (visits.empty()) return false;
-  for (const auto& visit : visits) {
-    if (visit.ok) return false;
-  }
-  return true;
+  if (capture.watchdog_cancelled) return true;
+  return !capture.visits.empty() &&
+         std::none_of(capture.visits.begin(), capture.visits.end(),
+                      [](const VisitRecord& visit) { return visit.ok; });
 }
 
 // Starts a `fleet` journal event carrying the job's identity prefix
@@ -138,6 +133,20 @@ double FleetRunStats::JobLatencyQuantile(double q) const {
   double clamped = std::clamp(q, 0.0, 1.0);
   size_t rank = static_cast<size_t>(clamped * (sorted.size() - 1) + 0.5);
   return sorted[rank];
+}
+
+CaptureView FleetJobResult::capture() const {
+  if (crawl.has_value()) {
+    return {*crawl->engine_flows, *crawl->engine_index, *crawl->native_flows,
+            *crawl->native_index, crawl->visits, crawl->fault_injected_flows,
+            crawl->ingest, crawl->watchdog_cancelled};
+  }
+  static const proxy::FlowStore kNoFlows;
+  static const analysis::FlowIndex kNoIndex;
+  static const std::vector<VisitRecord> kNoVisits;
+  return {kNoFlows, kNoIndex, *idle->native_flows, *idle->native_index,
+          kNoVisits, idle->fault_injected_flows, idle->ingest,
+          idle->watchdog_cancelled};
 }
 
 std::string_view CampaignKindName(CampaignKind kind) {
@@ -275,7 +284,6 @@ FleetJobResult FleetExecutor::ExecuteJob(const FleetJob& job, int attempt,
       idle.watchdog_deadline = options_.watchdog_deadline;
     }
     out.idle = RunIdle(framework, job.spec, idle);
-    out.flow_writes_dropped = out.idle->native_flows->dropped_writes();
   } else {
     CrawlOptions crawl = job.crawl;
     crawl.incognito = job.kind == CampaignKind::kIncognitoCrawl;
@@ -289,9 +297,10 @@ FleetJobResult FleetExecutor::ExecuteJob(const FleetJob& job, int attempt,
     shard_sites.reserve(end - begin);
     for (size_t i = begin; i < end; ++i) shard_sites.push_back(&sites[i]);
     out.crawl = RunCrawl(framework, job.spec, shard_sites, crawl);
-    out.flow_writes_dropped = out.crawl->engine_flows->dropped_writes() +
-                              out.crawl->native_flows->dropped_writes();
   }
+  const CaptureView capture = out.capture();
+  out.flow_writes_dropped = capture.engine_flows.dropped_writes() +
+                            capture.native_flows.dropped_writes();
 
   // Copy the fault timeline out while the framework (which owns the
   // injector) is still alive.

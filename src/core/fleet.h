@@ -60,9 +60,37 @@ struct FleetJob {
 uint64_t DeriveJobSeed(uint64_t base_seed, const FleetJob& job,
                        int attempt = 0);
 
+// What one fleet result captured, whatever its campaign kind: the
+// engine and native (store, index) pairs, the visits and the capture
+// accounting. An idle run has no engine side and visits nothing, so
+// its engine pair is one shared empty store and index (a two-sided
+// analyzer such as the UID-smuggling join still runs its native
+// self-join) and its visits are empty. Borrows from the result that
+// handed it out.
+struct CaptureView {
+  const proxy::FlowStore& engine_flows;
+  const analysis::FlowIndex& engine_index;
+  const proxy::FlowStore& native_flows;
+  const analysis::FlowIndex& native_index;
+  const std::vector<VisitRecord>& visits;
+  uint64_t fault_injected_flows;
+  const IngestStats& ingest;
+  bool watchdog_cancelled;
+
+  // Native share of all captured requests: 1 for an idle run with any
+  // traffic, 0 for a capture without flows.
+  double NativeRatio() const {
+    return core::NativeRatio(engine_flows.size(), native_flows.size());
+  }
+};
+
 struct FleetJobResult {
   FleetJob job;
   uint64_t seed = 0;  // the derived per-job seed, for provenance
+  // Exactly one of the two is set, matching job.kind: executed,
+  // replayed and decoded results all hold their capture, quarantined
+  // ones included. Only kind-specific fields are read from them;
+  // everything else goes through capture().
   std::optional<CrawlResult> crawl;
   std::optional<IdleResult> idle;
   // Self-healing accounting (run manifest): executions this job took
@@ -81,6 +109,8 @@ struct FleetJobResult {
   // cache_hit event. Merged in plan order by MergeJournal, so the
   // merged journal is byte-identical at any worker count.
   obs::Journal journal;
+
+  CaptureView capture() const;
 };
 
 struct FleetOptions {

@@ -63,31 +63,26 @@ RunManifest BuildRunManifest(const FleetOptions& options,
     job.flow_writes_dropped = result.flow_writes_dropped;
     job.cache_hit = result.cache_hit;
     if (job.cache_hit) ++manifest.cache_hits;
-    if (result.crawl.has_value()) {
-      job.fault_injected_flows = result.crawl->fault_injected_flows;
-      job.ingest = result.crawl->ingest;
-      job.watchdog_cancelled = result.crawl->watchdog_cancelled;
-      for (const auto& visit : result.crawl->visits) {
-        if (visit.attempts <= 1 && visit.ok) continue;
-        job.visit_retries += static_cast<uint64_t>(visit.attempts - 1);
-        if (!visit.ok) ++job.failed_visits;
-        job.backoff_millis += visit.backoff_millis;
+    const CaptureView capture = result.capture();
+    job.fault_injected_flows = capture.fault_injected_flows;
+    job.ingest = capture.ingest;
+    job.watchdog_cancelled = capture.watchdog_cancelled;
+    for (const auto& visit : capture.visits) {
+      if (visit.attempts <= 1 && visit.ok) continue;
+      job.visit_retries += static_cast<uint64_t>(visit.attempts - 1);
+      if (!visit.ok) ++job.failed_visits;
+      job.backoff_millis += visit.backoff_millis;
 
-        DegradedVisit degraded;
-        degraded.browser = job.browser;
-        degraded.kind = job.kind;
-        degraded.shard = job.shard;
-        degraded.hostname = visit.hostname;
-        degraded.recovered = visit.ok;
-        degraded.attempts = visit.attempts;
-        degraded.fault_cause = visit.fault_cause;
-        degraded.backoff_millis = visit.backoff_millis;
-        manifest.degraded_visits.push_back(std::move(degraded));
-      }
-    } else if (result.idle.has_value()) {
-      job.fault_injected_flows = result.idle->fault_injected_flows;
-      job.ingest = result.idle->ingest;
-      job.watchdog_cancelled = result.idle->watchdog_cancelled;
+      DegradedVisit degraded;
+      degraded.browser = job.browser;
+      degraded.kind = job.kind;
+      degraded.shard = job.shard;
+      degraded.hostname = visit.hostname;
+      degraded.recovered = visit.ok;
+      degraded.attempts = visit.attempts;
+      degraded.fault_cause = visit.fault_cause;
+      degraded.backoff_millis = visit.backoff_millis;
+      manifest.degraded_visits.push_back(std::move(degraded));
     }
 
     manifest.total_faults += job.faults_injected;

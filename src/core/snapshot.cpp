@@ -286,11 +286,16 @@ bool ReadPayload(util::BinReader& in, FleetJobResult* result) {
   result->quarantined = in.Bool();
   if (!ReadFaults(in, &result->faults)) return false;
   result->flow_writes_dropped = in.U64();
-  if (in.Bool()) {
+  // Exactly one capture, of the job's kind: FleetJobResult::capture()
+  // and the reports built on it rely on that.
+  const bool idle = result->job.kind == CampaignKind::kIdle;
+  if (in.Bool() == idle) return false;
+  if (!idle) {
     result->crawl.emplace();
     if (!ReadCrawl(in, &*result->crawl)) return false;
   }
-  if (in.Bool()) {
+  if (in.Bool() != idle) return false;
+  if (idle) {
     result->idle.emplace();
     if (!ReadIdle(in, &*result->idle)) return false;
   }
@@ -301,7 +306,7 @@ bool ReadPayload(util::BinReader& in, FleetJobResult* result) {
 // Checks the header of `bytes` and reads the job identity that follows
 // it into `job` (name, kind, shard, shard count, cohort), leaving `in`
 // at the payload. False for a bad magic, a schema outside the readable
-// range or a truncated identity.
+// range, an unknown campaign kind or a truncated identity.
 bool ReadIdentity(std::string_view bytes, util::BinReader& in, FleetJob* job) {
   auto header = PeekHeader(bytes);
   if (!header.has_value() || header->schema < kMinReadableSchema ||
@@ -312,7 +317,9 @@ bool ReadIdentity(std::string_view bytes, util::BinReader& in, FleetJob* job) {
   in.U32();
   in.U64();
   job->spec.name = in.Str();
-  job->kind = static_cast<CampaignKind>(in.U8());
+  const uint8_t kind = in.U8();
+  if (kind > static_cast<uint8_t>(CampaignKind::kIdle)) return false;
+  job->kind = static_cast<CampaignKind>(kind);
   job->shard = static_cast<int>(in.U32());
   job->shard_count = static_cast<int>(in.U32());
   ReadCohort(in, &job->cohort);

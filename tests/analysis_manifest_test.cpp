@@ -82,6 +82,23 @@ TEST(ManifestParse, RejectsBadInput) {
        }) {
     EXPECT_FALSE(Manifest::FromJson(bad).has_value()) << bad;
   }
+  // A field present with the wrong JSON type is an error, not a
+  // silent fall back to its default.
+  for (const char* bad : {
+           R"({"seed":"7","popular_sites":"4","sensitive_sites":2,
+               "entries":[{"browser":"Yandex","incognito":"yes",
+                           "mode":"idle","idle_minutes":"2"}]})",
+           R"({"seed":"7","entries":[{"browser":"Edge"}]})",
+           R"({"popular_sites":"4","entries":[{"browser":"Edge"}]})",
+           R"({"sensitive_sites":null,"entries":[{"browser":"Edge"}]})",
+           R"({"entries":[{"browser":"Opera","mode":"idle",
+                           "idle_minutes":"2"}]})",
+           R"({"entries":[{"browser":"Edge","incognito":1}]})",
+           R"({"entries":[{"browser":"Edge","incognito":"yes"}]})",
+           R"({"entries":[{"browser":"Edge","mode":1}]})",
+       }) {
+    EXPECT_FALSE(Manifest::FromJson(bad).has_value()) << bad;
+  }
   // The largest accepted seed round-trips exactly.
   auto top = Manifest::FromJson(
       R"({"seed":9007199254740992,"entries":[{"browser":"Edge"}]})");

@@ -173,6 +173,39 @@ TEST(Snapshot, RejectsCorruptionAndForeignBytes) {
   ASSERT_EQ(restored.crawl->native_flows->size(), 1u);
   EXPECT_EQ(restored.crawl->native_flows->flow(0).url.Serialize(),
             "https://legacy.example/x?q=1");
+
+  // The identity names a known campaign kind and the payload holds
+  // exactly one capture, of that kind. An unknown kind byte, no
+  // capture, a capture of the other kind or both captures is corrupt,
+  // whether decoded against a plan or plan-free (`explain`).
+  const size_t kind_at =
+      core::snapshot::kMagic.size() + 4 + 8 + 4 + jobs[0].spec.name.size();
+  ASSERT_EQ(bytes[kind_at], static_cast<char>(core::CampaignKind::kCrawl));
+  for (char kind : {'\x03', '\xFF'}) {
+    std::string bad = bytes;
+    bad[kind_at] = kind;
+    EXPECT_FALSE(core::snapshot::ReadAny(bad, &restored)) << int(kind);
+  }
+  auto decodes = [&](const core::FleetJobResult& result) {
+    const std::string image = core::snapshot::Write(result, 1);
+    return core::snapshot::Read(image, result.job, &restored) ||
+           core::snapshot::ReadAny(image, &restored);
+  };
+  core::FleetJobResult& crawl_result = results[0];
+  core::FleetJobResult& idle_result = results[2];
+  ASSERT_EQ(idle_result.job.kind, core::CampaignKind::kIdle);
+  EXPECT_TRUE(decodes(crawl_result));
+  EXPECT_TRUE(decodes(idle_result));
+  core::FleetJobResult neither;
+  neither.job = jobs[0];
+  EXPECT_FALSE(decodes(neither));
+  crawl_result.job.kind = core::CampaignKind::kIdle;
+  EXPECT_FALSE(decodes(crawl_result));
+  crawl_result.job.kind = core::CampaignKind::kCrawl;
+  idle_result.job.kind = core::CampaignKind::kCrawl;
+  EXPECT_FALSE(decodes(idle_result));
+  crawl_result.idle = std::move(idle_result.idle);
+  EXPECT_FALSE(decodes(crawl_result));
 }
 
 TEST(ResultCache, WarmRunIsAllHitsAndByteIdentical) {
